@@ -138,7 +138,8 @@ def hungarian(w: np.ndarray) -> tuple[pm.Permutation, float]:
                 chosen = a
                 fixed_cost = cand_fixed
                 break
-        assert chosen is not None, "assignment refinement lost the optimum"
+        if chosen is None:
+            raise RuntimeError("assignment refinement lost the optimum")
         mapping.append(chosen)
         free_sources.remove(chosen)
     return pm.Permutation(tuple(mapping)), float(w[mapping, range(q)].sum())
@@ -152,6 +153,8 @@ def _enumerated_best(problem: AlignmentProblem, elements) -> tuple[pm.Permutatio
         xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
     for p in elements:
         val = permuted_loss(xh, problem.x, p, problem.loss)
+        if not np.isfinite(val):
+            raise ValueError("alignment loss is non-finite")
         if val < best_loss or (val == best_loss and p.mapping < best_perm_.mapping):
             best_perm_, best_loss = p, val
     return best_perm_, best_loss

@@ -99,6 +99,13 @@ def _binary_vars(n: int) -> list[Variable]:
     return [Variable(0.0, 1.0, BINARY, i) for i in range(n)]
 
 
+def _validated(inst: IlpInstance) -> IlpInstance:
+    problems = validate(inst)
+    if problems:
+        raise ValueError(f"generated instance {inst.name} is invalid: " + "; ".join(problems))
+    return inst
+
+
 # ---------------------------------------------------------------------------
 # Bin packing
 
@@ -132,8 +139,7 @@ def binpack_instance(sizes, bins: int, capacity, name: str = "binpack") -> IlpIn
     desc = SymmetryDescriptor(pm.SYMMETRIC, tuple(grid))
     meta = {"family": "binpack", "sizes": sizes, "capacity": float(capacity), "bins": bins}
     inst = IlpInstance(name, tuple(variables), tuple(objective), tuple(cons), desc, meta)
-    assert not validate(inst)
-    return inst
+    return _validated(inst)
 
 
 def gen_binpack(items: int, bins: int, capacity, size_range, seed: int) -> IlpInstance:
@@ -211,8 +217,7 @@ def gen_item_placement(items: int, bins: int, resources: int, seed: int) -> IlpI
     inst = IlpInstance(
         f"itemplace_{seed}", tuple(variables), tuple(objective), tuple(cons), desc, meta
     )
-    assert not validate(inst)
-    return inst
+    return _validated(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +286,7 @@ def gen_smsp(orders: int, slabs: int, colors: int, seed: int) -> IlpInstance:
         "levels": levels,
     }
     inst = IlpInstance(f"smsp_{seed}", tuple(variables), tuple(objective), tuple(cons), desc, meta)
-    assert not validate(inst)
-    return inst
+    return _validated(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +367,7 @@ def gen_pesp(events: int, activities: int, period: int, seed: int) -> IlpInstanc
         "s_offsets": s_offsets,
     }
     inst = IlpInstance(f"pesp_{seed}", tuple(variables), tuple(objective), tuple(cons), desc, meta)
-    assert not validate(inst)
-    return inst
+    return _validated(inst)
 
 
 def perturb_pesp(inst: IlpInstance, seed: int, centered: bool = False) -> IlpInstance:
@@ -482,8 +485,7 @@ def gen_golomb(ticks: int, circumference: int, seed: int = 0) -> IlpInstance:
         desc,
         meta,
     )
-    assert not validate(inst)
-    return inst
+    return _validated(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import align
-from . import perm as pm
-from .instance import BINARY, LE, IlpInstance, make_constraint, permute_values
+from .instance import LE, IlpInstance, binary_grid, make_constraint, permute_values
 from .oracle import INFEASIBLE, SolveLimits, SolveResult, solve_bb
 
 DEFAULT_M_LIST = (10, 30, 50, 70, 90)
@@ -33,14 +32,6 @@ class MetricsRecord:
     wall_ms: float
 
 
-def _binary_grid(instance: IlpInstance) -> np.ndarray | None:
-    desc = instance.symmetry
-    if desc is None or desc.q < 2:
-        return None
-    rows = [row for row in desc.grid if all(instance.vars[i].kind == BINARY for i in row)]
-    return np.asarray(rows, dtype=np.intp) if rows else None
-
-
 def nearest_equivalent(pred: np.ndarray, label: np.ndarray, instance: IlpInstance) -> np.ndarray:
     """Group element of the label closest to the prediction (squared distance).
 
@@ -48,7 +39,7 @@ def nearest_equivalent(pred: np.ndarray, label: np.ndarray, instance: IlpInstanc
     groups are enumerated. Without a nontrivial group the label is returned
     as-is.
     """
-    grid = _binary_grid(instance)
+    grid = binary_grid(instance)
     if grid is None:
         return np.asarray(label, dtype=float)
     pred = np.asarray(pred, dtype=float)

@@ -35,12 +35,6 @@ _SENSE_SLOT = {LE: 1, GE: 2, EQ: 3}
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    # Kept for forward compatibility; the minimal feature set has no knobs.
-    pass
-
-
-@dataclass(frozen=True)
 class BipartiteGraph:
     var_feats: np.ndarray  # n x VAR_FEATS
     con_feats: np.ndarray  # m x CON_FEATS
@@ -61,7 +55,7 @@ class BipartiteGraph:
         return self.edge_var.shape[0]
 
 
-def encode(instance: IlpInstance, cfg: FeatureConfig = FeatureConfig()) -> BipartiteGraph:
+def encode(instance: IlpInstance) -> BipartiteGraph:
     n = instance.num_vars
     m = instance.num_constraints
     obj = np.asarray(instance.objective, dtype=float)

@@ -97,9 +97,6 @@ class IlpInstance:
     def binary_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.vars) if v.kind == BINARY]
 
-    def integral_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.vars) if v.is_integral()]
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -107,12 +104,14 @@ class Solution:
     objective: float
 
 
-def make_variable(lb, ub, kind, pos) -> Variable:
-    return Variable(float(lb), float(ub), kind, int(pos))
-
-
-def binary_var(pos: int) -> Variable:
-    return Variable(0.0, 1.0, BINARY, pos)
+def binary_grid(instance: IlpInstance) -> np.ndarray | None:
+    """Symmetry-grid rows whose variables are all binary, as an r x q index
+    array; None without a nontrivial group (q < 2) or without such a row."""
+    desc = instance.symmetry
+    if desc is None or desc.q < 2:
+        return None
+    rows = [row for row in desc.grid if all(instance.vars[i].kind == BINARY for i in row)]
+    return np.asarray(rows, dtype=np.intp) if rows else None
 
 
 def make_constraint(coeffs: Iterable[tuple[int, float]], sense: str, rhs) -> Constraint:

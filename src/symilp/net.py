@@ -178,7 +178,17 @@ def sample_loss(
     target_idx: np.ndarray | None = None,
 ) -> float:
     """Loss only (no tape kept beyond the call)."""
-    probs = forward(model, graph)
+    return loss_from_probs(forward(model, graph), target, loss_kind, target_idx)
+
+
+def loss_from_probs(
+    probs: np.ndarray,
+    target: np.ndarray,
+    loss_kind: str = BCE,
+    target_idx: np.ndarray | None = None,
+) -> float:
+    """Mean loss of predicted values (forward's output) against a target,
+    over target_idx or every variable."""
     t = np.asarray(target, dtype=float)
     if target_idx is not None:
         idx = np.asarray(target_idx, dtype=np.intp)

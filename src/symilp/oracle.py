@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .instance import BINARY, EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
+from .instance import EQ, FEAS_TOL, GE, LE, Constraint, IlpInstance, Solution
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -70,14 +70,22 @@ def check_feasible(instance: IlpInstance, values) -> list[str]:
         if var.is_integral() and abs(v - round(v)) > INT_TOL:
             out.append(f"var {i}: value {v} not integral")
     for j, con in enumerate(instance.constraints):
-        lhs = sum(val * vals[idx] for idx, val in con.coeffs)
-        if con.sense == LE and lhs > con.rhs + FEAS_TOL:
-            out.append(f"constraint {j}: {lhs} > {con.rhs}")
-        elif con.sense == GE and lhs < con.rhs - FEAS_TOL:
-            out.append(f"constraint {j}: {lhs} < {con.rhs}")
-        elif con.sense == EQ and abs(lhs - con.rhs) > FEAS_TOL:
-            out.append(f"constraint {j}: {lhs} != {con.rhs}")
+        bad = _row_violation(con, vals)
+        if bad:
+            out.append(f"constraint {j}: {bad}")
     return out
+
+
+def _row_violation(con: Constraint, vals: np.ndarray) -> str | None:
+    """How the row fails at vals beyond tolerance 1e-6, or None if it holds."""
+    lhs = sum(val * vals[idx] for idx, val in con.coeffs)
+    if con.sense == LE and lhs > con.rhs + FEAS_TOL:
+        return f"{lhs} > {con.rhs}"
+    if con.sense == GE and lhs < con.rhs - FEAS_TOL:
+        return f"{lhs} < {con.rhs}"
+    if con.sense == EQ and abs(lhs - con.rhs) > FEAS_TOL:
+        return f"{lhs} != {con.rhs}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,7 @@ def solve_bb(
     `fixed` pre-pins variables (partial assignments from repair heuristics),
     `extra_constraints` appends rows such as a Hamming-ball cut. When
     `debug_optimum` is given, the bound sandwich
-    min(open node bounds) <= optimum <= incumbent is asserted at every node.
+    min(open node bounds) <= optimum <= incumbent is checked at every node.
     """
     sys_ = _DenseSystem.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -346,13 +354,8 @@ def solve_bb(
             # contains it, so the weakest known bound stays below it; and
             # every incumbent stays above it. A single node's bound may
             # exceed the optimum when its subtree excludes the optimum.
-            known = [bound] + [entry[2] for entry in stack]
-            if incumbent is not None:
-                known.append(incumbent_obj)
-                assert incumbent_obj >= debug_optimum - 1e-6
-            assert min(known) <= debug_optimum + 1e-6, (
-                f"bound {min(known)} exceeds known optimum {debug_optimum}"
-            )
+            known = [bound, incumbent_obj] + [entry[2] for entry in stack]
+            _check_sandwich(min(known), incumbent_obj, debug_optimum)
         if incumbent is not None and bound >= incumbent_obj - limits.abs_gap:
             continue
         x = res.x
@@ -363,16 +366,9 @@ def solve_bb(
             cand = _snap_integral(x, sys_.integral)
             # Snapping may nudge the point; re-verify instance rows and the
             # extra rows (which are not part of the instance) before accepting.
-            ok = check_feasible(instance, cand) == []
-            for con in extra_constraints:
-                lhs = sum(val * cand[idx] for idx, val in con.coeffs)
-                if con.sense == LE and lhs > con.rhs + FEAS_TOL:
-                    ok = False
-                elif con.sense == GE and lhs < con.rhs - FEAS_TOL:
-                    ok = False
-                elif con.sense == EQ and abs(lhs - con.rhs) > FEAS_TOL:
-                    ok = False
-            if ok:
+            if not check_feasible(instance, cand) and not any(
+                _row_violation(con, cand) for con in extra_constraints
+            ):
                 obj = float(np.dot(sys_.c, cand))
                 if obj < incumbent_obj - limits.abs_gap:
                     incumbent_obj, incumbent = obj, cand
@@ -393,8 +389,8 @@ def solve_bb(
     if incumbent is not None and tie_pool:
         incumbent = min(tie_pool, key=lambda v: tuple(v.tolist()))
         incumbent_obj = float(np.dot(sys_.c, incumbent))
-    if debug_optimum is not None and incumbent is not None:
-        assert incumbent_obj >= debug_optimum - 1e-6
+    if debug_optimum is not None:
+        _check_sandwich(-np.inf, incumbent_obj, debug_optimum)
 
     if limit_hit:
         open_bounds = [entry[2] for entry in stack]
@@ -409,6 +405,13 @@ def solve_bb(
         return SolveResult(INFEASIBLE, None, np.inf, nodes, wall)
     sol = Solution(tuple(incumbent.tolist()), incumbent_obj)
     return SolveResult(OPTIMAL, sol, incumbent_obj, nodes, wall)
+
+
+def _check_sandwich(weakest_bound: float, incumbent_obj: float, optimum: float) -> None:
+    if incumbent_obj < optimum - 1e-6:
+        raise RuntimeError(f"incumbent {incumbent_obj} is below the known optimum {optimum}")
+    if weakest_bound > optimum + 1e-6:
+        raise RuntimeError(f"bound {weakest_bound} exceeds known optimum {optimum}")
 
 
 def _with(arr: np.ndarray, idx: int, val: float) -> np.ndarray:

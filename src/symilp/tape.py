@@ -61,10 +61,13 @@ def relu(a: Node) -> Node:
     return Node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Node) -> Node:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails.
-    z = a.data
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+def sigmoid(a: Node) -> Node:
+    out = _sigmoid(a.data)
     return Node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -98,10 +101,6 @@ def scatter_add_rows(a: Node, idx: np.ndarray, num_rows: int) -> Node:
     return Node(out, (a,), lambda g: (g[idx],))
 
 
-def mul_const(a: Node, k: float) -> Node:
-    return Node(a.data * k, (a,), lambda g: (g * k,))
-
-
 def se_mean(pred: Node, target: np.ndarray) -> Node:
     """Mean squared error over all entries; target is a constant."""
     diff = pred.data - target
@@ -118,7 +117,7 @@ def bce_with_logits_mean(logits: Node, target: np.ndarray) -> Node:
     z = logits.data
     count = max(1, z.size)
     loss = np.sum(np.logaddexp(0.0, z) - target * z) / count
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    sig = _sigmoid(z)
     return Node(loss, (logits,), lambda g: (g * (sig - target) / count,))
 
 

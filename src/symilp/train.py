@@ -3,14 +3,14 @@
 The symmetry-aware mode treats the label of every sample as adjustable
 within its instance's symmetry group. Each mini-batch first re-aligns the
 labels to the current predictions (an exact per-sample argmin, so the batch
-risk can only go down; this is asserted at 1e-9 on every call) and then
+risk can only go down; this is checked at 1e-9 on every call) and then
 takes the configured number of gradient steps against the aligned labels.
 Classic mode is the same loop with the alignment switched off.
 
 Per epoch both the plain risk r (labels as stored) and the aligned risk r_s
 (labels re-aligned to the current model, not persisted) are recorded for the
 training and validation splits, in both modes, so the two runs can be
-compared on a common scale.
+compared on a common scale. Both come from one forward pass per sample.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import align, net
 from . import perm as pm
 from .graph import BipartiteGraph, encode
-from .instance import BINARY, IlpInstance, permute_values, read_json
+from .instance import IlpInstance, binary_grid, permute_values, read_json
 from .oracle import check_feasible
 
 CLASSIC = "classic"
@@ -47,9 +47,6 @@ class LabeledSample:
     group_kind: str | None
     pi: pm.Permutation | None = None  # alternation state; None means identity
 
-    def group_degree(self) -> int:
-        return 0 if self.grid is None else self.grid.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -63,18 +60,12 @@ class TrainConfig:
     hidden: int = 64
     layers: int = 2
     force_identity: bool = False
-    # "batch": re-align each mini-batch right before its gradient steps.
-    # "epoch": one full-dataset alignment per epoch (the plain alternating
-    # scheme); steadier targets on small datasets.
-    align_every: str = "batch"
 
     def __post_init__(self):
         if self.epochs < 1 or self.inner_steps < 1 or self.batch_size < 1:
             raise ValueError("epochs, inner_steps and batch_size must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.align_every not in ("batch", "epoch"):
-            raise ValueError(f"unknown alignment schedule {self.align_every!r}")
 
 
 @dataclass
@@ -105,18 +96,8 @@ def make_sample(name: str, instance: IlpInstance, label_values) -> LabeledSample
     if label.shape != (instance.num_vars,):
         raise ValueError(f"label for {name} has wrong length")
     target_idx = np.asarray(instance.binary_indices(), dtype=np.intp)
-    grid = None
-    kind = None
-    desc = instance.symmetry
-    if desc is not None and desc.q >= 2:
-        rows = [
-            row
-            for row in desc.grid
-            if all(instance.vars[i].kind == BINARY for i in row)
-        ]
-        if rows:
-            grid = np.asarray(rows, dtype=np.intp)
-            kind = desc.kind
+    grid = binary_grid(instance)
+    kind = None if grid is None else instance.symmetry.kind
     return LabeledSample(name, instance, encode(instance), label, target_idx, grid, kind)
 
 
@@ -176,13 +157,8 @@ def risk_symaware(model: net.GnnModel, samples, loss: str = net.BCE) -> float:
     return _risk(model, samples, loss, aligned=True)
 
 
-def _best_alignment(model, sample: LabeledSample, loss: str):
-    """Loss-minimizing group element for one sample at the current model."""
-    probs = net.forward(model, sample.graph)
-    xhat = probs[sample.grid]
-    x = sample.label[sample.grid]
-    problem = align.AlignmentProblem(xhat, x, loss, sample.group_kind)
-    return align.best_perm(problem), (xhat, x)
+def _alignment(s: LabeledSample, probs: np.ndarray, loss: str) -> align.AlignmentProblem:
+    return align.AlignmentProblem(probs[s.grid], s.label[s.grid], loss, s.group_kind)
 
 
 def update_permutations(model: net.GnnModel, samples, loss: str = net.BCE) -> None:
@@ -190,55 +166,63 @@ def update_permutations(model: net.GnnModel, samples, loss: str = net.BCE) -> No
 
     Each sample's permutation becomes the group element minimizing the loss
     between the current prediction and the permuted label. The minimized
-    value can never exceed the previous one; this is asserted per sample.
+    value can never exceed the previous one; a RuntimeError naming the
+    sample is raised if it does.
     """
     for s in samples:
         if s.grid is None:
             continue
-        (new_pi, new_loss), (xhat, x) = _best_alignment(model, s, loss)
+        problem = _alignment(s, net.forward(model, s.graph), loss)
+        new_pi, new_loss = align.best_perm(problem)
         old_pi = s.pi if s.pi is not None else pm.identity(new_pi.degree)
-        old_loss = align.permuted_loss(
-            np.clip(xhat, align.BCE_CLIP, 1 - align.BCE_CLIP) if loss == align.BCE else xhat,
-            x,
-            old_pi,
-            loss,
-        )
-        assert new_loss <= old_loss + MONOTONE_TOL, (
-            f"alignment increased the loss on {s.name}: {old_loss} -> {new_loss}"
-        )
+        old_loss = align.permuted_loss(problem.xhat, problem.x, old_pi, loss)
+        if not new_loss <= old_loss + MONOTONE_TOL:
+            raise RuntimeError(f"alignment increased the loss on {s.name}: {old_loss} -> {new_loss}")
         s.pi = new_pi
 
 
-def aligned_risk(model: net.GnnModel, samples, loss: str = net.BCE) -> float:
-    """Risk with labels freshly aligned to the current model (state untouched)."""
+def aligned_risk(model: net.GnnModel, samples, loss: str = net.BCE) -> tuple[float, float]:
+    """Plain risk r and aligned risk r_s, from one forward pass per sample.
+
+    r scores the labels as stored; r_s scores each label permuted by the
+    group element best aligned to the same prediction. Sample state is
+    untouched.
+    """
     if not samples:
         raise ValueError("empty sample set")
-    total = 0.0
+    r = r_s = 0.0
     for s in samples:
+        probs = net.forward(model, s.graph)
+        plain = net.loss_from_probs(probs, s.label, loss, s.target_idx)
+        r += plain
         if s.grid is None:
-            total += net.sample_loss(model, s.graph, s.label, loss, s.target_idx)
+            r_s += plain
             continue
-        (pi, _), _ = _best_alignment(model, s, loss)
+        pi, _ = align.best_perm(_alignment(s, probs, loss))
         target = permute_values(s.instance.symmetry, pi, s.label)
-        total += net.sample_loss(model, s.graph, target, loss, s.target_idx)
-    return total / len(samples)
+        r_s += net.loss_from_probs(probs, target, loss, s.target_idx)
+    return r / len(samples), r_s / len(samples)
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 
 
-def _batch_step(model, state, batch, loss: str, aligned: bool) -> None:
+def _batch_step(model, state, batch, loss: str, aligned: bool) -> float:
+    """One Adam step on the batch's mean gradient; returns the batch's mean loss."""
     scale = 1.0 / len(batch)
     acc: dict[str, np.ndarray] | None = None
+    total = 0.0
     for s in batch:
-        _, grads = net.loss_and_grad(model, s.graph, _target_values(s, aligned), loss, s.target_idx)
+        value, grads = net.loss_and_grad(model, s.graph, _target_values(s, aligned), loss, s.target_idx)
+        total += value * scale
         if acc is None:
             acc = {k: g * scale for k, g in grads.items()}
         else:
             for k, g in grads.items():
                 acc[k] += g * scale
     net.adam_step(model, state, acc)
+    return total
 
 
 def fit(
@@ -252,7 +236,8 @@ def fit(
     In symmetry-aware mode the labels are re-aligned per mini-batch right
     before that batch's gradient steps. With force_identity (or trivial
     groups everywhere) the loop degrades to classic training exactly, step
-    for step.
+    for step. A batch loss or selection risk that is not finite raises
+    FloatingPointError naming the epoch.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -262,7 +247,6 @@ def fit(
     selection = list(val_samples) if val_samples else list(train_samples)
 
     symaware = cfg.mode == SYMMETRY_AWARE and not cfg.force_identity
-    evaluate_aligned = not cfg.force_identity
 
     curve: list[EpochStats] = []
     ckpts: list[str] = []
@@ -275,28 +259,26 @@ def fit(
     t0 = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_samples))
-        if symaware and cfg.align_every == "epoch":
-            update_permutations(model, train_samples, cfg.loss)
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_samples[i] for i in order[start : start + cfg.batch_size]]
-            if symaware and cfg.align_every == "batch":
+            if symaware:
                 update_permutations(model, batch, cfg.loss)
             for _ in range(cfg.inner_steps):
-                _batch_step(model, state, batch, cfg.loss, aligned=symaware)
+                if not np.isfinite(_batch_step(model, state, batch, cfg.loss, aligned=symaware)):
+                    raise FloatingPointError(f"epoch {epoch}: batch loss is not finite")
 
-        r_tr = risk_classic(model, train_samples, cfg.loss)
-        if evaluate_aligned:
-            rs_tr = aligned_risk(model, train_samples, cfg.loss)
-            r_val = risk_classic(model, selection, cfg.loss)
-            rs_val = aligned_risk(model, selection, cfg.loss)
+        if cfg.force_identity:
+            r_tr = rs_tr = risk_classic(model, train_samples, cfg.loss)
+            r_val = rs_val = risk_classic(model, selection, cfg.loss)
         else:
-            rs_tr = r_tr
-            r_val = risk_classic(model, selection, cfg.loss)
-            rs_val = r_val
+            r_tr, rs_tr = aligned_risk(model, train_samples, cfg.loss)
+            r_val, rs_val = aligned_risk(model, selection, cfg.loss)
         wall = (time.perf_counter() - t0) * 1e3
         curve.append(EpochStats(epoch, r_tr, rs_tr, r_val, rs_val, wall))
 
         sel = rs_val if symaware else r_val
+        if not np.isfinite(sel):
+            raise FloatingPointError(f"epoch {epoch}: selection risk is {sel}")
         if sel < best_val:
             best_val = sel
             best_epoch = epoch

@@ -180,6 +180,15 @@ def test_best_perm_never_worse_than_identity():
                 assert val <= ident_val + 1e-12
 
 
+@pytest.mark.parametrize("kind", [pm.SYMMETRIC, pm.CYCLIC, pm.DIHEDRAL])
+def test_best_perm_rejects_non_finite_prediction(kind):
+    xhat = np.full((2, 4), 0.5)
+    xhat[1, 2] = np.nan
+    for loss in (align.SE, align.BCE):
+        with pytest.raises(ValueError, match="non-finite"):
+            align.best_perm(_problem(xhat, np.zeros((2, 4)), loss, kind))
+
+
 def test_best_perm_validates_problem():
     with pytest.raises(ValueError):
         _problem(np.zeros((2, 2)), np.zeros((2, 3)), align.SE, pm.CYCLIC)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from symilp import bench, oracle
 from symilp import perm as pm
-from symilp.instance import Solution, apply_solution_permutation, check_symmetry, validate
+from symilp.instance import Solution, Variable, apply_solution_permutation, check_symmetry, validate
 
 
 def orbit_stays_feasible(inst, solution, elements):
@@ -347,6 +348,14 @@ def test_build_dataset_reproducible_bytes(tmp_path):
     for sub in ("instances", "labels"):
         for f in sorted((d1 / sub).iterdir()):
             assert f.read_bytes() == (d2 / sub / f.name).read_bytes()
+
+
+def test_generated_instances_are_validated():
+    inst = bench.binpack_instance([1, 2], 2, 3, name="broken")
+    broken = dataclasses.replace(inst, vars=(Variable(1.0, 0.0, "binary", 0),) + inst.vars[1:])
+    with pytest.raises(ValueError, match="generated instance broken is invalid: var 0"):
+        bench._validated(broken)
+    assert bench._validated(inst) is inst
 
 
 def test_genspec_validation():

@@ -16,6 +16,7 @@ from symilp.instance import (
     SymmetryDescriptor,
     Variable,
     apply_solution_permutation,
+    binary_grid,
     check_symmetry,
     instance_from_dict,
     instance_to_dict,
@@ -77,6 +78,21 @@ def test_validate_flags_bad_bounds():
     problems = validate(inst)
     assert any("lb" in v for v in problems)
     assert any("binary bounds" in v for v in problems)
+
+
+def test_binary_grid_keeps_all_binary_rows():
+    variables = tuple(Variable(0.0, 1.0, "binary", i) for i in range(4)) + (
+        Variable(0.0, 3.0, "integer", 4),
+        Variable(0.0, 3.0, "integer", 5),
+    )
+    desc = SymmetryDescriptor(pm.SYMMETRIC, ((0, 1), (4, 5), (2, 3)))
+    inst = tiny_instance(vars=variables, objective=(0.0,) * 6, symmetry=desc)
+    assert binary_grid(inst).tolist() == [[0, 1], [2, 3]]
+    only_integer = SymmetryDescriptor(pm.SYMMETRIC, ((4, 5),))
+    assert binary_grid(tiny_instance(vars=variables, objective=(0.0,) * 6, symmetry=only_integer)) is None
+    assert binary_grid(tiny_instance()) is None
+    single_column = SymmetryDescriptor(pm.SYMMETRIC, ((0,), (1,)))
+    assert binary_grid(tiny_instance(symmetry=single_column)) is None
 
 
 def test_json_round_trip(tmp_path, ex1):

@@ -188,6 +188,30 @@ def test_bb_agrees_with_brute_force_on_random_instances():
             solved += 1
 
 
+def test_bb_debug_optimum_violations_raise(ex1):
+    # ex1's optimum is 2 bins; a claimed optimum on either side of it breaks
+    # the sandwich, and the check raises rather than asserts.
+    with pytest.raises(RuntimeError, match="below the known optimum"):
+        oracle.solve_bb(ex1, debug_optimum=3.0)
+    with pytest.raises(RuntimeError, match="exceeds known optimum"):
+        oracle.solve_bb(ex1, debug_optimum=1.0)
+
+
+def test_bb_extra_rows_of_every_sense_hold(ex1):
+    # Open all three bins (EQ), put item 0 in bin 0 (GE), keep it out of bin 1 (LE).
+    rows = (
+        make_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], EQ, 3.0),
+        make_constraint([(3, 1.0)], GE, 1.0),
+        make_constraint([(4, 1.0)], LE, 0.0),
+    )
+    res = oracle.solve_bb(ex1, extra_constraints=rows)
+    assert res.status == oracle.OPTIMAL
+    assert res.solution.objective == 3.0
+    vals = res.solution.values
+    assert (vals[0], vals[1], vals[2], vals[3], vals[4]) == (1.0, 1.0, 1.0, 1.0, 0.0)
+    assert oracle.check_feasible(ex1, vals) == []
+
+
 def test_bb_prefixed_feasible_label_returns_it(ex1):
     fixed = {i: float(v) for i, v in enumerate(X_BASE)}
     res = oracle.solve_bb(ex1, fixed=fixed)

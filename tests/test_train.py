@@ -76,6 +76,33 @@ def test_update_permutations_monotone_and_matches_brute_force():
         assert got == pytest.approx(best, abs=1e-9)
 
 
+def test_update_permutations_rejects_a_worse_alignment(monkeypatch):
+    # A best_perm that returns the worst element must trip the monotonicity
+    # check, which is an exception and so survives python -O.
+    model = net.init(net.GnnConfig(hidden=8, layers=2), seed=2)
+    s = labeled_binpack(name="worse")
+
+    def worst_perm(problem):
+        cands = [pm.Permutation(p) for p in itertools.permutations(range(problem.x.shape[1]))]
+        losses = [align.permuted_loss(problem.xhat, problem.x, p, problem.loss) for p in cands]
+        k = int(np.argmax(losses))
+        return cands[k], losses[k]
+
+    monkeypatch.setattr(align, "best_perm", worst_perm)
+    with pytest.raises(RuntimeError, match="alignment increased the loss on worse"):
+        train.update_permutations(model, [s], "bce")
+    assert s.pi is None
+
+
+def test_aligned_risk_plain_part_equals_risk_classic():
+    model = net.init(net.GnnConfig(hidden=8, layers=2), seed=4)
+    samples = small_dataset(4) + [labeled_binpack(sizes=(2,), bins=1, name="trivial")]
+    r, r_s = train.aligned_risk(model, samples, "bce")
+    assert r == train.risk_classic(model, samples, "bce")
+    assert r_s <= r
+    assert all(s.pi is None for s in samples)
+
+
 def test_update_permutations_recovers_planted_shift():
     # Prediction equal to a rotated label: the update finds a loss-zeroing
     # rotation (up to ties).
@@ -175,6 +202,61 @@ def test_proposition_one_separation_small():
     rs = train.fit([s1, s2], train.TrainConfig(mode="symaware", **base))
     assert rc.curve[-1].r_tr >= 0.9 * floor
     assert rs.curve[-1].rs_tr < 0.9 * floor
+
+
+@pytest.mark.parametrize(
+    "mode, force_identity", [("symaware", False), ("classic", False), ("symaware", True)]
+)
+def test_fit_runs_one_forward_pass_per_use(monkeypatch, mode, force_identity):
+    # Per epoch: one forward per grid sample for the alignment update (in
+    # symmetry-aware mode), then one per sample for both risks of each split.
+    trivial = labeled_binpack(sizes=(2,), bins=1, name="trivial")
+    fit_samples = small_dataset(4) + [trivial]
+    val_samples = small_dataset(2, seed=1)
+    n_fit_with_grid = sum(s.grid is not None for s in fit_samples)
+    assert n_fit_with_grid == 4
+    calls = []
+    real_forward = net.forward
+
+    def counting_forward(model, graph):
+        calls.append(graph)
+        return real_forward(model, graph)
+
+    monkeypatch.setattr(net, "forward", counting_forward)
+    epochs = 3
+    cfg = train.TrainConfig(
+        epochs=epochs, mode=mode, batch_size=2, inner_steps=2, seed=0, hidden=6, layers=1,
+        force_identity=force_identity,
+    )
+    train.fit(fit_samples, cfg, val_samples)
+    per_epoch = len(fit_samples) + len(val_samples)
+    if mode == "symaware" and not force_identity:
+        per_epoch += n_fit_with_grid
+    assert len(calls) == epochs * per_epoch
+
+
+def test_fit_raises_on_non_finite_batch_loss():
+    samples = small_dataset(3)
+    samples[1].graph.var_feats[0, 0] = np.nan
+    cfg = train.TrainConfig(epochs=2, mode="classic", batch_size=2, seed=0, hidden=6, layers=1)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="epoch 1: batch loss"):
+        train.fit(samples, cfg)
+
+
+def test_fit_raises_on_non_finite_selection_risk():
+    val = labeled_binpack(sizes=(2,), bins=1, name="trivial")
+    val.graph.var_feats[0, 0] = np.nan
+    cfg = train.TrainConfig(epochs=2, mode="symaware", batch_size=2, seed=0, hidden=6, layers=1)
+    with pytest.raises(FloatingPointError, match="epoch 1: selection risk"):
+        train.fit(small_dataset(3), cfg, [val])
+
+
+def test_fit_symaware_stops_on_non_finite_alignment_cost():
+    samples = small_dataset(3)
+    samples[1].graph.var_feats[0, 0] = np.nan
+    cfg = train.TrainConfig(epochs=2, mode="symaware", batch_size=4, seed=0, hidden=6, layers=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        train.fit(samples, cfg)
 
 
 def test_load_dataset_surfaces_bad_labels(tmp_path):
