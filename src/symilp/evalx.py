@@ -54,13 +54,11 @@ def top_m_error(
     label: np.ndarray,
     instance: IlpInstance,
     m: float,
-    least_confident: bool = True,
 ) -> float:
     """Rounding disagreement with the nearest equivalent label on m% of targets.
 
-    The m% of binary targets with the largest rounding gap |Round(p)-p| (the
-    least confident predictions) are scored by default; least_confident=False
-    flips the selection for ablations.
+    The least confident m% of binary targets are scored: those with the
+    largest rounding gap |Round(p)-p|.
     """
     if not 0 < m <= 100:
         raise ValueError(f"m must be in (0, 100], got {m}")
@@ -73,15 +71,16 @@ def top_m_error(
     rounding_gap = np.abs(np.round(p) - p)
     keep = int(round(m / 100.0 * targets.size))
     keep = max(1, min(targets.size, keep))
-    order = np.argsort(-rounding_gap if least_confident else rounding_gap, kind="stable")
+    order = np.argsort(-rounding_gap, kind="stable")
     chosen = targets[order[:keep]]
     return float(np.sum(np.abs(np.round(pred[chosen]) - tilde[chosen])))
 
 
-def primal_gap(obj: float, best_obj: float, eps: float = GAP_EPS) -> float:
+def primal_gap(obj: float, best_obj: float) -> float:
     """Relative distance of an objective to the best-known objective.
 
-    Objectives that agree within the solver's tie tolerance
+    The denominator is |best_obj| + GAP_EPS, so a zero best objective stays
+    finite. Objectives that agree within the solver's tie tolerance
     (SolveLimits.abs_gap) are the same optimum reached through different
     float round-off, so their gap is exactly 0.0 rather than noise that a
     later ratio (see gain) would amplify.
@@ -89,7 +88,7 @@ def primal_gap(obj: float, best_obj: float, eps: float = GAP_EPS) -> float:
     diff = abs(obj - best_obj)
     if diff <= SolveLimits.abs_gap:
         return 0.0
-    return diff / (abs(best_obj) + eps)
+    return diff / (abs(best_obj) + GAP_EPS)
 
 
 def gain(gamma_r: float, gamma_rs: float) -> float | None:

@@ -177,7 +177,7 @@ def sample_loss(
     loss_kind: str = BCE,
     target_idx: np.ndarray | None = None,
 ) -> float:
-    """Loss only (no tape kept beyond the call)."""
+    """Loss only (no tape kept beyond the call); clipped as in loss_from_probs."""
     return loss_from_probs(forward(model, graph), target, loss_kind, target_idx)
 
 
@@ -188,7 +188,12 @@ def loss_from_probs(
     target_idx: np.ndarray | None = None,
 ) -> float:
     """Mean loss of predicted values (forward's output) against a target,
-    over target_idx or every variable."""
+    over target_idx or every variable.
+
+    BCE clips the probabilities to [1e-12, 1 - 1e-12]. Once a logit passes
+    +-27.6 this differs from the unclipped logit form that loss_and_grad
+    trains on, so risks computed here are not the trained loss there.
+    """
     t = np.asarray(target, dtype=float)
     if target_idx is not None:
         idx = np.asarray(target_idx, dtype=np.intp)

@@ -11,12 +11,12 @@ identical labels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .instance import EQ, FEAS_TOL, GE, LE, Constraint, IlpInstance, Solution
+from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -34,7 +34,6 @@ class SolveLimits:
     time_limit_ms: float = 60_000.0
     node_limit: int = 200_000
     abs_gap: float = 1e-9
-    rel_gap: float = 0.0
 
     def __post_init__(self):
         if self.time_limit_ms <= 0 or self.node_limit <= 0:
@@ -69,23 +68,12 @@ def check_feasible(instance: IlpInstance, values) -> list[str]:
             out.append(f"var {i}: value {v} outside [{var.lb}, {var.ub}]")
         if var.is_integral() and abs(v - round(v)) > INT_TOL:
             out.append(f"var {i}: value {v} not integral")
-    for j, con in enumerate(instance.constraints):
-        bad = _row_violation(con, vals)
-        if bad:
-            out.append(f"constraint {j}: {bad}")
+    sys_ = _DenseSystem.build(instance)
+    lhs = sys_.a @ vals
+    for j in sys_.rows_failing(lhs, lhs):
+        op = ">" if sys_.le[j] else "<" if sys_.ge[j] else "!="
+        out.append(f"constraint {j}: {lhs[j]} {op} {instance.constraints[j].rhs}")
     return out
-
-
-def _row_violation(con: Constraint, vals: np.ndarray) -> str | None:
-    """How the row fails at vals beyond tolerance 1e-6, or None if it holds."""
-    lhs = sum(val * vals[idx] for idx, val in con.coeffs)
-    if con.sense == LE and lhs > con.rhs + FEAS_TOL:
-        return f"{lhs} > {con.rhs}"
-    if con.sense == GE and lhs < con.rhs - FEAS_TOL:
-        return f"{lhs} < {con.rhs}"
-    if con.sense == EQ and abs(lhs - con.rhs) > FEAS_TOL:
-        return f"{lhs} != {con.rhs}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -94,50 +82,60 @@ def _row_violation(con: Constraint, vals: np.ndarray) -> str | None:
 
 @dataclass
 class _DenseSystem:
+    """A problem's rows, read once: the one place that looks at row senses."""
+
     c: np.ndarray
     a: np.ndarray  # m x n dense coefficient matrix
-    senses: list[str]
     rhs: np.ndarray
+    le: np.ndarray  # bool row masks, one per sense
+    ge: np.ndarray
+    eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     integral: np.ndarray  # bool mask
+    # linprog's arguments: LE rows, then GE rows negated; None when empty.
+    a_ub: np.ndarray | None
+    b_ub: np.ndarray | None
+    a_eq: np.ndarray | None
+    b_eq: np.ndarray | None
 
     @classmethod
     def build(cls, instance: IlpInstance, extra_constraints=()) -> "_DenseSystem":
-        n = instance.num_vars
         rows = list(instance.constraints) + list(extra_constraints)
-        a = np.zeros((len(rows), n))
-        senses = []
-        rhs = np.zeros(len(rows))
+        a = np.zeros((len(rows), instance.num_vars))
         for j, con in enumerate(rows):
             for idx, val in con.coeffs:
                 a[j, idx] = val
-            senses.append(con.sense)
-            rhs[j] = con.rhs
-        lb = np.array([v.lb for v in instance.vars])
-        ub = np.array([v.ub for v in instance.vars])
-        integral = np.array([v.is_integral() for v in instance.vars])
-        return cls(np.asarray(instance.objective, dtype=float), a, senses, rhs, lb, ub, integral)
+        rhs = np.array([con.rhs for con in rows], dtype=float)
+        le, ge, eq = (np.array([con.sense == s for con in rows], dtype=bool) for s in (LE, GE, EQ))
+        a_ub, b_ub = np.vstack([a[le], -a[ge]]), np.concatenate([rhs[le], -rhs[ge]])
+        if not b_ub.size:
+            a_ub = b_ub = None
+        a_eq, b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
+        return cls(
+            np.asarray(instance.objective, dtype=float), a, rhs, le, ge, eq,
+            np.array([v.lb for v in instance.vars]),
+            np.array([v.ub for v in instance.vars]),
+            np.array([v.is_integral() for v in instance.vars]),
+            a_ub, b_ub, a_eq, b_eq,
+        )
+
+    def rows_failing(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Rows that no activity in [lo, hi] satisfies at FEAS_TOL (lo = hi for a point)."""
+        over = (self.le | self.eq) & (lo > self.rhs + FEAS_TOL)
+        under = (self.ge | self.eq) & (hi < self.rhs - FEAS_TOL)
+        return np.flatnonzero(over | under)
 
 
 def _solve_lp(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    le = [j for j, s in enumerate(sys_.senses) if s == LE]
-    ge = [j for j, s in enumerate(sys_.senses) if s == GE]
-    eq = [j for j, s in enumerate(sys_.senses) if s == EQ]
-    a_ub = b_ub = a_eq = b_eq = None
-    if le or ge:
-        a_ub = np.vstack([sys_.a[le], -sys_.a[ge]]) if ge else sys_.a[le]
-        b_ub = np.concatenate([sys_.rhs[le], -sys_.rhs[ge]]) if ge else sys_.rhs[le]
-    if eq:
-        a_eq, b_eq = sys_.a[eq], sys_.rhs[eq]
     if np.any(lb > ub + LP_TOL):
         return LpResult(INFEASIBLE, np.inf, None)
     res = linprog(
         sys_.c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_ub=sys_.a_ub,
+        b_ub=sys_.b_ub,
+        A_eq=sys_.a_eq,
+        b_eq=sys_.b_eq,
         bounds=np.column_stack([lb, ub]),
         method="highs",
     )
@@ -208,19 +206,6 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
     x = np.zeros(n)
     act = np.zeros(m)
 
-    def row_ok(depth: int) -> bool:
-        lo = act + suf_lo[depth]
-        hi = act + suf_hi[depth]
-        for j in range(m):
-            s = sys_.senses[j]
-            if s == LE and lo[j] > sys_.rhs[j] + FEAS_TOL:
-                return False
-            if s == GE and hi[j] < sys_.rhs[j] - FEAS_TOL:
-                return False
-            if s == EQ and (lo[j] > sys_.rhs[j] + FEAS_TOL or hi[j] < sys_.rhs[j] - FEAS_TOL):
-                return False
-        return True
-
     def finish_leaf(partial_obj: float):
         nonlocal best_obj, best_vals, ties
         if cont_idx.size:
@@ -244,7 +229,7 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
         # At depth == n_int the suffix intervals cover only the continuous
         # block (empty for pure-integer instances), so this doubles as the
         # exact leaf feasibility check.
-        if not row_ok(depth):
+        if sys_.rows_failing(act + suf_lo[depth], act + suf_hi[depth]).size:
             return
         if partial_obj + c_suf_lo[depth] > best_obj + 1e-9:
             return
@@ -364,11 +349,11 @@ def solve_bb(
         v = int(np.argmax(frac))
         if frac[v] <= INT_TOL:
             cand = _snap_integral(x, sys_.integral)
-            # Snapping may nudge the point; re-verify instance rows and the
-            # extra rows (which are not part of the instance) before accepting.
-            if not check_feasible(instance, cand) and not any(
-                _row_violation(con, cand) for con in extra_constraints
-            ):
+            # Snapping may nudge the point; re-verify its bounds and every
+            # row, the extra rows included, before accepting.
+            act = sys_.a @ cand
+            in_bounds = np.all(cand >= sys_.lb - FEAS_TOL) and np.all(cand <= sys_.ub + FEAS_TOL)
+            if in_bounds and not sys_.rows_failing(act, act).size:
                 obj = float(np.dot(sys_.c, cand))
                 if obj < incumbent_obj - limits.abs_gap:
                     incumbent_obj, incumbent = obj, cand

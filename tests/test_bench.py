@@ -350,6 +350,18 @@ def test_build_dataset_reproducible_bytes(tmp_path):
             assert f.read_bytes() == (d2 / sub / f.name).read_bytes()
 
 
+def test_build_dataset_parallel_labels_match_serial(tmp_path):
+    spec = bench.GenSpec("binpack", 4, 5, {"items": 4, "bins": 3, "capacity": 6, "size_range": [1, 3]})
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    bench.build_dataset(spec, str(serial), workers=1)
+    bench.build_dataset(spec, str(parallel), workers=2)
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file()) == files
+    assert {"manifest.json", "instances", "labels"} == {p.parts[0] for p in files}
+    for rel in files:
+        assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
+
+
 def test_generated_instances_are_validated():
     inst = bench.binpack_instance([1, 2], 2, 3, name="broken")
     broken = dataclasses.replace(inst, vars=(Variable(1.0, 0.0, "binary", 0),) + inst.vars[1:])

@@ -72,6 +72,25 @@ def test_length_mismatch(ex1):
         oracle.check_feasible(ex1, [0, 1])
 
 
+def test_row_misses_reported_by_sense_at_tolerance():
+    # x0 <= 1, x1 >= 1, x2 == 1 over continuous variables.
+    variables = tuple(Variable(0.0, 10.0, "continuous", i) for i in range(3))
+    rows = (
+        make_constraint([(0, 1.0)], LE, 1.0),
+        make_constraint([(1, 1.0)], GE, 1.0),
+        make_constraint([(2, 1.0)], EQ, 1.0),
+    )
+    inst = IlpInstance("senses", variables, (0.0, 0.0, 0.0), rows, None, {})
+    misses = [(0, 1.0, ">"), (1, -1.0, "<"), (2, 1.0, "!="), (2, -1.0, "!=")]
+    for row, sign, op in misses:
+        vals = np.ones(3)
+        vals[row] += sign * 2e-6
+        (msg,) = oracle.check_feasible(inst, vals)
+        assert msg.startswith(f"constraint {row}: ") and f" {op} 1.0" in msg
+        vals[row] = 1.0 + sign * 0.5e-6
+        assert oracle.check_feasible(inst, vals) == []
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
@@ -244,6 +263,16 @@ def test_bb_deterministic(ex1):
     b = oracle.solve_bb(ex1)
     assert a.solution.values == b.solution.values
     assert a.nodes == b.nodes
+
+
+def test_bb_and_brute_force_without_rows():
+    variables = tuple(Variable(0.0, 1.0, "binary", i) for i in range(3))
+    inst = IlpInstance("free", variables, (1.0, -2.0, -1.0), (), None, {})
+    bb = oracle.solve_bb(inst)
+    bf = oracle.brute_force(inst)
+    assert bb.status == bf.status == oracle.OPTIMAL
+    assert bb.solution == bf.solution
+    assert bb.solution.values == (0.0, 1.0, 1.0)
 
 
 def test_limits_validate():

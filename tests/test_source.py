@@ -13,3 +13,30 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_config_fields_are_read():
+    # A field that no code reads is a dead knob: setting it changes nothing.
+    # Reads inside the class itself (its own validation) do not count.
+    classes = {"SolveLimits", "TrainConfig", "GnnConfig", "GenSpec", "AdamState"}
+    fields: dict[str, list[str]] = {}
+    reads: set[str] = set()
+    for path in sorted(pathlib.Path(symilp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                fields[node.name] = [
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+                inside |= {id(sub) for sub in ast.walk(node)}
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+        }
+    assert set(fields) == classes
+    unread = [f"{cls}.{name}" for cls, names in sorted(fields.items()) for name in names if name not in reads]
+    assert not unread, f"config fields never read in the package: {unread}"
