@@ -60,20 +60,28 @@ def top_m_error(
     The least confident m% of binary targets are scored: those with the
     largest rounding gap |Round(p)-p|.
     """
-    if not 0 < m <= 100:
-        raise ValueError(f"m must be in (0, 100], got {m}")
     pred = np.asarray(pred, dtype=float)
-    tilde = nearest_equivalent(pred, label, instance)
+    (err,) = _top_m_errors(pred, nearest_equivalent(pred, label, instance), instance, (m,))
+    return err
+
+
+def _top_m_errors(pred: np.ndarray, tilde: np.ndarray, instance: IlpInstance, m_list) -> list[float]:
+    """top_m_error for each m in m_list, against one already aligned label tilde."""
+    for m in m_list:
+        if not 0 < m <= 100:
+            raise ValueError(f"m must be in (0, 100], got {m}")
     targets = np.asarray(instance.binary_indices(), dtype=np.intp)
     if targets.size == 0:
-        return 0.0
+        return [0.0] * len(m_list)
     p = pred[targets]
-    rounding_gap = np.abs(np.round(p) - p)
-    keep = int(round(m / 100.0 * targets.size))
-    keep = max(1, min(targets.size, keep))
-    order = np.argsort(-rounding_gap, kind="stable")
-    chosen = targets[order[:keep]]
-    return float(np.sum(np.abs(np.round(pred[chosen]) - tilde[chosen])))
+    order = np.argsort(-np.abs(np.round(p) - p), kind="stable")
+    chosen = targets[order]
+    wrong = np.abs(np.round(pred[chosen]) - tilde[chosen])
+    errs = []
+    for m in m_list:
+        keep = max(1, min(targets.size, int(round(m / 100.0 * targets.size))))
+        errs.append(float(np.sum(wrong[:keep])))
+    return errs
 
 
 def primal_gap(obj: float, best_obj: float) -> float:
@@ -170,11 +178,17 @@ def evaluate_predictions(
     predictions,
     m_list=DEFAULT_M_LIST,
 ) -> list[MetricsRecord]:
-    """Top-m% errors per labeled sample; no solving involved."""
+    """Top-m% errors per labeled sample; no solving involved.
+
+    Each sample's nearest equivalent label is computed once and scored at
+    every m.
+    """
     records = []
     for sample, pred in zip(samples, predictions):
-        errs = {int(m): top_m_error(pred, sample.label, sample.instance, m) for m in m_list}
-        records.append(MetricsRecord(sample.name, errs, None, 0.0))
+        pred = np.asarray(pred, dtype=float)
+        tilde = nearest_equivalent(pred, sample.label, sample.instance)
+        errs = _top_m_errors(pred, tilde, sample.instance, m_list)
+        records.append(MetricsRecord(sample.name, dict(zip(map(int, m_list), errs)), None, 0.0))
     return records
 
 

@@ -2,10 +2,14 @@
 
 This module plays the role a commercial solver would play at production
 scale. It produces training labels and serves the repair heuristics. The
-continuous relaxations are solved with HiGHS through scipy.optimize.linprog;
-the search layers on top (enumeration, depth-first branch and bound with
-most-fractional branching) are deterministic, so repeated runs yield
-identical labels.
+continuous relaxations are solved with HiGHS. Each solve builds one HiGHS
+model of its rows on its first LP; a branch-and-bound node sets the model's
+column bounds and re-runs it from a cold start, so every node returns the
+LP solution scipy.optimize.linprog(method="highs") returns for the same
+arguments. lp_relax calls linprog itself and is the reference for that
+equivalence. The search layers on top (enumeration, depth-first branch and
+bound with most-fractional branching) are deterministic, so repeated runs
+yield identical labels.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
 
@@ -47,6 +53,7 @@ class SolveResult:
     bound: float
     nodes: int = 0
     wall_ms: float = 0.0
+    lp_ms: float = 0.0  # time spent inside LP solves, a part of wall_ms
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,8 @@ class _DenseSystem:
     b_ub: np.ndarray | None
     a_eq: np.ndarray | None
     b_eq: np.ndarray | None
+    lp: "_HighsLp | None" = None  # built on the first LP solve
+    lp_ms: float = 0.0  # time spent in LP solves so far
 
     @classmethod
     def build(cls, instance: IlpInstance, extra_constraints=()) -> "_DenseSystem":
@@ -127,9 +136,94 @@ class _DenseSystem:
         return np.flatnonzero(over | under)
 
 
+class _HighsLp:
+    """One HiGHS model of a system's rows, set up the way linprog(method="highs") sets up its own.
+
+    Rows are the a_ub rows with bounds [-inf, b_ub], then the a_eq rows with
+    bounds [b_eq, b_eq], in one CSC matrix, as linprog stacks them. solve()
+    sets the column bounds and clears the solver before it runs, so every
+    solve starts cold and returns exactly what a fresh linprog call on the
+    same arguments returns.
+    """
+
+    # Model statuses other than kOptimal, mapped as linprog maps them; any
+    # status not listed (kUnboundedOrInfeasible included) is an error.
+    STATUS = {
+        highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+        highs.HighsModelStatus.kModelError: INFEASIBLE,
+        highs.HighsModelStatus.kUnbounded: "unbounded",
+    }
+    # linprog's post-solve residual tolerance: sqrt(tol) * 10 at its default tol = 1e-9.
+    RESIDUAL_TOL = np.sqrt(1e-9) * 10
+
+    def __init__(self, sys_: _DenseSystem):
+        n = sys_.c.size
+        a_ub, b_ub = (sys_.a_ub, sys_.b_ub) if sys_.b_ub is not None else (np.zeros((0, n)), np.zeros(0))
+        a_eq, b_eq = (sys_.a_eq, sys_.b_eq) if sys_.b_eq is not None else (np.zeros((0, n)), np.zeros(0))
+        a = csc_array(np.vstack([a_ub, a_eq]))
+        self.cols = np.arange(n, dtype=np.int32)
+        self.num_ub = b_ub.size
+        self.row_upper = np.concatenate([b_ub, b_eq])
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = sys_.c
+        lp.col_lower_ = sys_.lb
+        lp.col_upper_ = sys_.ub
+        lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+        lp.row_upper_ = self.row_upper
+        self.model = highs._Highs()
+        self.model.setOptionValue("output_flag", False)
+        self.model.setOptionValue("presolve", "on")
+        self.model.setOptionValue(
+            "simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        )
+        if self.model.passModel(lp) == highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the LP model")
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+        model = self.model
+        model.changeColsBounds(self.cols.size, self.cols, lb, ub)
+        model.clearSolver()
+        model.run()
+        status = model.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            status = self.STATUS.get(status, "error")
+            return LpResult(status, np.inf if status == INFEASIBLE else -np.inf, None)
+        sol = model.getSolution()
+        x = np.array(sol.col_value)
+        value = model.getInfo().objective_function_value
+        # linprog's post-solve check: an optimum outside its bounds or rows
+        # by more than RESIDUAL_TOL, or with a NaN, is reported as an error.
+        slack = self.row_upper - np.array(sol.row_value)
+        tol = self.RESIDUAL_TOL
+        valid = (
+            not (np.isnan(x).any() or np.isnan(value) or np.isnan(slack).any())
+            and np.all((x >= lb - tol) & (x <= ub + tol))
+            and not (slack[: self.num_ub] < -tol).any()
+            and not (np.abs(slack[self.num_ub:]) > tol).any()
+        )
+        return LpResult(OPTIMAL, float(value), x) if valid else LpResult("error", -np.inf, None)
+
+
 def _solve_lp(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+    """The LP over the box [lb, ub] on the system's HiGHS model, built on the first call."""
     if np.any(lb > ub + LP_TOL):
         return LpResult(INFEASIBLE, np.inf, None)
+    t0 = time.perf_counter()
+    if sys_.lp is None:
+        sys_.lp = _HighsLp(sys_)
+    result = sys_.lp.solve(lb, ub)
+    sys_.lp_ms += (time.perf_counter() - t0) * 1e3
+    return result
+
+
+def _linprog(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+    """The LP over the box [lb, ub] through a fresh linprog(method="highs") call."""
     res = linprog(
         sys_.c,
         A_ub=sys_.a_ub,
@@ -149,9 +243,12 @@ def _solve_lp(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
 
 
 def lp_relax(instance: IlpInstance, extra_constraints=()) -> LpResult:
-    """Continuous relaxation; the value is a valid lower bound for minimization."""
+    """Continuous relaxation; the value is a valid lower bound for minimization.
+
+    It calls linprog directly, independent of the solver's HiGHS model.
+    """
     sys_ = _DenseSystem.build(instance, extra_constraints)
-    return _solve_lp(sys_, sys_.lb, sys_.ub)
+    return _linprog(sys_, sys_.lb, sys_.ub)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +346,10 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
     descend(0, 0.0)
     wall = (time.perf_counter() - t0) * 1e3
     if best_vals is None:
-        result = SolveResult(INFEASIBLE, None, np.inf, nodes, wall)
+        result = SolveResult(INFEASIBLE, None, np.inf, nodes, wall, sys_.lp_ms)
         return (result, []) if collect_all else result
     sol = Solution(tuple(best_vals.tolist()), float(best_obj))
-    result = SolveResult(OPTIMAL, sol, float(best_obj), nodes, wall)
+    result = SolveResult(OPTIMAL, sol, float(best_obj), nodes, wall, sys_.lp_ms)
     if collect_all:
         all_opt = [Solution(tuple(v.tolist()), float(best_obj)) for v in ties]
         return result, all_opt
@@ -385,11 +482,11 @@ def solve_bb(
         sol = None
         if incumbent is not None:
             sol = Solution(tuple(incumbent.tolist()), incumbent_obj)
-        return SolveResult(LIMIT_REACHED, sol, float(bound), nodes, wall)
+        return SolveResult(LIMIT_REACHED, sol, float(bound), nodes, wall, sys_.lp_ms)
     if incumbent is None:
-        return SolveResult(INFEASIBLE, None, np.inf, nodes, wall)
+        return SolveResult(INFEASIBLE, None, np.inf, nodes, wall, sys_.lp_ms)
     sol = Solution(tuple(incumbent.tolist()), incumbent_obj)
-    return SolveResult(OPTIMAL, sol, incumbent_obj, nodes, wall)
+    return SolveResult(OPTIMAL, sol, incumbent_obj, nodes, wall, sys_.lp_ms)
 
 
 def _check_sandwich(weakest_bound: float, incumbent_obj: float, optimum: float) -> None:

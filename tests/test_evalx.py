@@ -258,3 +258,24 @@ def test_metrics_csv_and_summary(tmp_path, labeled_ex1):
     assert summary["top50_mean"] == 0.0
     header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
     assert header == "instance,top50,top100,gap,wall_ms"
+
+
+def test_evaluate_predictions_aligns_once_and_matches_top_m_error(monkeypatch):
+    from symilp import align
+    from symilp import train as train_mod
+
+    rng = np.random.default_rng(8)
+    inst = bench.gen_item_placement(4, 5, 2, seed=1)
+    label = np.asarray(oracle.solve_bb(inst).solution.values)
+    samples = [train_mod.make_sample(f"s{k}", inst, label) for k in range(3)]
+    preds = [rng.uniform(0.01, 0.99, size=inst.num_vars) for _ in samples]
+    m_list = evalx.DEFAULT_M_LIST
+    calls = []
+    real = align.best_perm
+    monkeypatch.setattr(align, "best_perm", lambda problem: calls.append(1) or real(problem))
+    records = evalx.evaluate_predictions(samples, preds, m_list)
+    assert len(calls) == len(samples)
+    for rec, pred in zip(records, preds):
+        expected = [evalx.top_m_error(pred, label, inst, m) for m in m_list]
+        assert [rec.top_m[m] for m in m_list] == expected
+        assert all(type(v) is float for v in rec.top_m.values())

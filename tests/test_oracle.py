@@ -3,7 +3,14 @@ import pytest
 
 from symilp import oracle
 from symilp import perm as pm
-from symilp.bench import binpack_instance, gen_golomb
+from symilp.bench import (
+    binpack_instance,
+    gen_binpack,
+    gen_golomb,
+    gen_item_placement,
+    gen_pesp,
+    gen_smsp,
+)
 from symilp.instance import (
     EQ,
     GE,
@@ -187,6 +194,115 @@ def test_lp_relax_infeasible():
     )
     inst = IlpInstance("infeas", variables, (1.0,), cons, None, {})
     assert oracle.lp_relax(inst).status == oracle.INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# The solver's HiGHS model against linprog
+
+
+def hamming_ball(inst, center, radius):
+    """Local branching's row: at most radius binaries differ from center."""
+    targets = inst.binary_indices()
+    coeffs = [(i, -1.0 if center[i] else 1.0) for i in targets]
+    return make_constraint(coeffs, LE, float(radius - sum(center[i] for i in targets)))
+
+
+def cross_check_systems():
+    placement = gen_item_placement(4, 5, 2, seed=3)
+    center = np.random.default_rng(5).integers(0, 2, size=placement.num_vars)
+    instances = [
+        (gen_binpack(4, 3, 6, (1, 3), seed=1), ()),
+        (placement, ()),
+        (gen_smsp(4, 3, 2, seed=1), ()),
+        (gen_pesp(4, 5, 4, seed=1), ()),
+        (gen_golomb(3, 8), ()),
+        (placement, (hamming_ball(placement, center, 3),)),
+    ]
+    return [oracle._DenseSystem.build(inst, extra) for inst, extra in instances]
+
+
+def random_box(rng, sys_):
+    """A sub-box of the system's bounds: some variables fixed, some continuous ones narrowed."""
+    lb, ub = sys_.lb.copy(), sys_.ub.copy()
+    for i in range(lb.size):
+        r = rng.random()
+        if r < 0.2:
+            ub[i] = lb[i]
+        elif r < 0.3:
+            lb[i] = ub[i]
+        elif r < 0.5 and not sys_.integral[i]:
+            lo, hi = np.sort(rng.uniform(lb[i], ub[i], size=2))
+            lb[i], ub[i] = lo, hi
+    return lb, ub
+
+
+def assert_same_lp(got, ref):
+    assert got.status == ref.status
+    assert got.value == ref.value
+    if ref.x is None:
+        assert got.x is None
+    else:
+        assert got.x.tobytes() == ref.x.tobytes()
+
+
+def test_highs_model_matches_linprog_bit_for_bit():
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for sys_ in cross_check_systems():
+        boxes = [(sys_.lb, sys_.ub), (sys_.lb, sys_.lb.copy())]  # full box, all at lower bound
+        boxes += [random_box(rng, sys_) for _ in range(12)]
+        for lb, ub in boxes:
+            got = oracle._solve_lp(sys_, lb, ub)
+            assert_same_lp(got, oracle._linprog(sys_, lb, ub))
+            statuses.add(got.status)
+    assert statuses == {oracle.OPTIMAL, oracle.INFEASIBLE}
+
+
+def test_highs_model_keeps_no_state_between_solves():
+    # Box A, then box B, then box A again on one model: the third answer is
+    # the first, bit for bit. A warm start from B's basis breaks this.
+    rng = np.random.default_rng(12)
+    for sys_ in cross_check_systems():
+        for _ in range(4):
+            box_a, box_b = random_box(rng, sys_), random_box(rng, sys_)
+            first = oracle._solve_lp(sys_, *box_a)
+            oracle._solve_lp(sys_, *box_b)
+            assert_same_lp(oracle._solve_lp(sys_, *box_a), first)
+
+
+def test_edge_statuses_agree_with_linprog_and_bb_stops():
+    # One row no point in the box satisfies.
+    infeasible = IlpInstance(
+        "row", (Variable(0.0, 1.0, "continuous", 0),), (1.0,),
+        (make_constraint([(0, 1.0)], GE, 2.0),), None, {},
+    )
+    # A free continuous variable with a negative cost, beside one binary.
+    unbounded = IlpInstance(
+        "free", (Variable(-np.inf, np.inf, "continuous", 0), Variable(0.0, 1.0, "binary", 1)),
+        (-1.0, 1.0), (make_constraint([(1, 1.0)], LE, 1.0),), None, {},
+    )
+    for inst, status in ((infeasible, oracle.INFEASIBLE), (unbounded, "unbounded")):
+        sys_ = oracle._DenseSystem.build(inst)
+        assert oracle._solve_lp(sys_, sys_.lb, sys_.ub).status == status
+        assert oracle.lp_relax(inst).status == status
+        res = oracle.solve_bb(inst)
+        assert res.solution is None and res.nodes <= 3
+
+
+def test_lp_ms_is_part_of_wall_ms(ex1):
+    res = oracle.solve_bb(ex1)
+    assert res.nodes >= 1
+    assert 0 < res.lp_ms <= res.wall_ms
+
+
+def test_no_lp_means_no_model(ex1, monkeypatch):
+    def refuse(sys_):
+        raise AssertionError("built an LP model")
+
+    monkeypatch.setattr(oracle, "_HighsLp", refuse)
+    assert oracle.check_feasible(ex1, X_BASE) == []
+    res = oracle.brute_force(ex1)
+    assert res.status == oracle.OPTIMAL and res.lp_ms == 0.0
 
 
 # ---------------------------------------------------------------------------
