@@ -50,7 +50,7 @@ from .instance import (
     validate,
     write_json,
 )
-from .oracle import INFEASIBLE, OPTIMAL, SolveLimits, check_feasible, solve_bb
+from .oracle import INFEASIBLE, OPTIMAL, UNBOUNDED, SolveLimits, check_feasible, solve_bb
 
 log = logging.getLogger(__name__)
 
@@ -565,7 +565,7 @@ def build_dataset(
     dropped: list[list[str]] = []
     for inst, res in zip(instances, results):
         if res.status != OPTIMAL or res.solution is None:
-            reason = "infeasible" if res.status == INFEASIBLE else "limit"
+            reason = res.status if res.status in (INFEASIBLE, UNBOUNDED) else "limit"
             dropped.append([inst.name, reason])
             log.warning("dropping %s (%s)", inst.name, reason)
             continue

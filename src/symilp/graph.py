@@ -7,6 +7,8 @@ coefficient A_jk becomes a weighted edge. Feature layout:
   constraint node: [rhs / max(1, max|b|), sense one-hot (LE, GE, EQ)]
 
 Edge weights are the raw coefficients scaled by the per-row max amplitude.
+Each side also gets a 0/1 incidence matrix over the edges, so the network
+sums per-edge messages into nodes with one sparse product.
 
 r_pos is a symmetry-breaking tag: a uniform [0, 1) draw from a fixed-seed
 stream, indexed by variable position. Message passing cannot tell apart
@@ -21,9 +23,10 @@ tag in every instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .instance import BINARY, EQ, GE, INTEGER, LE, IlpInstance
 
@@ -41,6 +44,15 @@ class BipartiteGraph:
     edge_con: np.ndarray  # (E,) constraint index per edge
     edge_var: np.ndarray  # (E,) variable index per edge
     edge_weight: np.ndarray  # (E,)
+    # Built from the edge lists at construction: entry (j, e) is 1 when edge
+    # e touches constraint j (resp. variable k). A product sums each row's
+    # edges in edge order, so it equals a per-edge accumulation bit for bit.
+    con_incidence: csr_array = field(init=False, repr=False, compare=False)  # m x E
+    var_incidence: csr_array = field(init=False, repr=False, compare=False)  # n x E
+
+    def __post_init__(self):
+        object.__setattr__(self, "con_incidence", incidence(self.edge_con, self.num_cons))
+        object.__setattr__(self, "var_incidence", incidence(self.edge_var, self.num_vars))
 
     @property
     def num_vars(self) -> int:
@@ -53,6 +65,15 @@ class BipartiteGraph:
     @property
     def num_edges(self) -> int:
         return self.edge_var.shape[0]
+
+
+def incidence(idx: np.ndarray, num_rows: int) -> csr_array:
+    """num_rows x len(idx) 0/1 matrix with a 1 at (idx[e], e) for every e."""
+    idx = np.asarray(idx, dtype=np.intp)
+    indptr = np.zeros(num_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
+    columns = np.argsort(idx, kind="stable")  # each row's edges in edge order
+    return csr_array((np.ones(idx.size), columns, indptr), shape=(num_rows, idx.size))
 
 
 def encode(instance: IlpInstance) -> BipartiteGraph:

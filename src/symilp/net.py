@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape
-from .graph import CON_FEATS, VAR_FEATS, BipartiteGraph
+from .graph import CON_FEATS, VAR_FEATS, BipartiteGraph, incidence
 
 SE = "se"
 BCE = "bce"
@@ -100,27 +100,28 @@ def init(cfg: GnnConfig, seed: int) -> GnnModel:
 
 
 def _mlp(params, prefix: str, x: tape.Node) -> tape.Node:
-    h = tape.relu(tape.add(tape.matmul(x, params[prefix + ".W1"]), params[prefix + ".b1"]))
-    return tape.add(tape.matmul(h, params[prefix + ".W2"]), params[prefix + ".b2"])
+    w1, b1, w2, b2 = (params[prefix + suffix] for suffix in (".W1", ".b1", ".W2", ".b2"))
+    return tape.perceptron(x, w1, b1, w2, b2)
 
 
 def _forward_tape(model: GnnModel, graph: BipartiteGraph):
     """Build the forward graph; returns (logits node, param leaf dict)."""
     p = {name: tape.leaf(arr) for name, arr in model.params.items()}
-    v = tape.relu(tape.add(tape.matmul(tape.leaf(graph.var_feats), p["emb_v.W"]), p["emb_v.b"]))
-    c = tape.relu(tape.add(tape.matmul(tape.leaf(graph.con_feats), p["emb_c.W"]), p["emb_c.b"]))
+    v = tape.relu(tape.affine(graph.var_feats, p["emb_v.W"], p["emb_v.b"]))
+    c = tape.relu(tape.affine(graph.con_feats, p["emb_c.W"], p["emb_c.b"]))
     w = tape.leaf(graph.edge_weight.reshape(-1, 1))
+    con_inc, var_inc = graph.con_incidence, graph.var_incidence
 
     for l in range(model.cfg.layers):
-        ce = tape.gather_rows(c, graph.edge_con)
-        ve = tape.gather_rows(v, graph.edge_var)
+        ce = tape.gather_rows(c, graph.edge_con, con_inc)
+        ve = tape.gather_rows(v, graph.edge_var, var_inc)
         msg_c = _mlp(p, f"layer{l}.g_c", tape.concat_cols([ce, ve, w]))
-        agg_c = tape.scatter_add_rows(msg_c, graph.edge_con, graph.num_cons)
+        agg_c = tape.scatter_add_rows(msg_c, graph.edge_con, con_inc)
         c = _mlp(p, f"layer{l}.f_c", tape.concat_cols([c, agg_c]))
 
-        ce = tape.gather_rows(c, graph.edge_con)
+        ce = tape.gather_rows(c, graph.edge_con, con_inc)
         msg_v = _mlp(p, f"layer{l}.g_v", tape.concat_cols([ce, ve, w]))
-        agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, graph.num_vars)
+        agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, var_inc)
         v = _mlp(p, f"layer{l}.f_v", tape.concat_cols([v, agg_v]))
 
     logits = _mlp(p, "out", v)
@@ -148,7 +149,7 @@ def loss_and_grad(
     logits, p = _forward_tape(model, graph)
     if target_idx is not None:
         idx = np.asarray(target_idx, dtype=np.intp)
-        logits = tape.gather_rows(logits, idx)
+        logits = tape.gather_rows(logits, idx, incidence(idx, graph.num_vars))
         t = np.asarray(target, dtype=float)[idx].reshape(-1, 1)
     else:
         t = np.asarray(target, dtype=float).reshape(-1, 1)

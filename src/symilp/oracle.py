@@ -27,6 +27,7 @@ from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
 LIMIT_REACHED = "limit_reached"
 
 INT_TOL = 1e-6
@@ -58,7 +59,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # optimal / infeasible / unbounded / error
+    status: str  # OPTIMAL / INFEASIBLE / UNBOUNDED / "error"
     value: float
     x: np.ndarray | None
 
@@ -151,7 +152,7 @@ class _HighsLp:
     STATUS = {
         highs.HighsModelStatus.kInfeasible: INFEASIBLE,
         highs.HighsModelStatus.kModelError: INFEASIBLE,
-        highs.HighsModelStatus.kUnbounded: "unbounded",
+        highs.HighsModelStatus.kUnbounded: UNBOUNDED,
     }
     # linprog's post-solve residual tolerance: sqrt(tol) * 10 at its default tol = 1e-9.
     RESIDUAL_TOL = np.sqrt(1e-9) * 10
@@ -238,7 +239,7 @@ def _linprog(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     if res.status == 2:
         return LpResult(INFEASIBLE, np.inf, None)
     if res.status == 3:
-        return LpResult("unbounded", -np.inf, None)
+        return LpResult(UNBOUNDED, -np.inf, None)
     return LpResult("error", -np.inf, None)
 
 
@@ -381,6 +382,8 @@ def solve_bb(
     `extra_constraints` appends rows such as a Hamming-ball cut. When
     `debug_optimum` is given, the bound sandwich
     min(open node bounds) <= optimum <= incumbent is checked at every node.
+    The status is UNBOUNDED when a node whose integral variables are all
+    fixed has an unbounded LP.
     """
     sys_ = _DenseSystem.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -401,7 +404,7 @@ def solve_bb(
     tie_pool: list[np.ndarray] = []
     # Stack entries: (lb, ub, inherited parent bound).
     stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, -np.inf)]
-    limit_hit = False
+    limit_hit = unbounded = False
 
     while stack:
         if nodes >= limits.node_limit or time.perf_counter() > deadline:
@@ -414,13 +417,18 @@ def solve_bb(
         res = _solve_lp(sys_, lb, ub)
         if res.status == INFEASIBLE:
             continue
-        if res.status in ("unbounded", "error"):
+        if res.status in (UNBOUNDED, "error"):
             # No usable bound; branch on the first open integral variable.
             bound = -np.inf
             open_vars = [
                 i for i in np.flatnonzero(sys_.integral) if lb[i] < ub[i] - 0.5
             ]
             if not open_vars:
+                if res.status == UNBOUNDED:
+                    # Every integral variable is fixed and the LP over the
+                    # rest has no lower bound, so neither has the problem.
+                    unbounded = True
+                    break
                 continue
             v = open_vars[0]
             mid = np.floor((lb[v] + ub[v]) / 2)
@@ -474,6 +482,8 @@ def solve_bb(
     if debug_optimum is not None:
         _check_sandwich(-np.inf, incumbent_obj, debug_optimum)
 
+    if unbounded:
+        return SolveResult(UNBOUNDED, None, -np.inf, nodes, wall, sys_.lp_ms)
     if limit_hit:
         open_bounds = [entry[2] for entry in stack]
         bound = min(open_bounds) if open_bounds else (

@@ -1,12 +1,16 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Covers exactly the operations the message-passing network needs: affine
-maps, ReLU, sigmoid, row gather/scatter-add, concatenation, and fused mean
-losses. Gradients accumulate in a fixed reverse-topological order, so a
-fixed computation produces bit-identical gradients on every run.
+maps of constant inputs, two-layer perceptrons as one node, ReLU, sigmoid,
+row gather and scatter-add as products with 0/1 incidence matrices,
+concatenation, and fused mean losses. Gradients accumulate in a fixed
+reverse-topological order, so a fixed computation produces bit-identical
+gradients on every run.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -29,31 +33,22 @@ def leaf(data) -> Node:
     return Node(data)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum out axes that were broadcast so grad matches the parent shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, size in enumerate(shape):
-        if size == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
+def affine(x: np.ndarray, w: Node, b: Node) -> Node:
+    """x @ W + b for a constant input x; no gradient flows into x."""
+    return Node(x @ w.data + b.data, (w, b), lambda g: (x.T @ g, g.sum(axis=0)))
 
 
-def add(a: Node, b: Node) -> Node:
-    out_data = a.data + b.data
-    return Node(
-        out_data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
+def perceptron(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+    """Two-layer perceptron relu(x @ W1 + b1) @ W2 + b2 as one node."""
+    pre = x.data @ w1.data + b1.data
+    mask = pre > 0
+    h = pre * mask
 
+    def back(g):
+        gh = (g @ w2.data.T) * mask
+        return (gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0))
 
-def matmul(a: Node, b: Node) -> Node:
-    return Node(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    return Node(h @ w2.data + b2.data, (x, w1, b1, w2, b2), back)
 
 
 def relu(a: Node) -> Node:
@@ -73,32 +68,25 @@ def sigmoid(a: Node) -> Node:
 
 def concat_cols(nodes: list[Node]) -> Node:
     datas = [n.data for n in nodes]
-    widths = [d.shape[1] for d in datas]
-    splits = np.cumsum(widths)[:-1]
+    bounds = [0, *itertools.accumulate(d.shape[1] for d in datas)]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=1))
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     return Node(np.concatenate(datas, axis=1), tuple(nodes), back)
 
 
-def gather_rows(a: Node, idx: np.ndarray) -> Node:
+def gather_rows(a: Node, idx: np.ndarray, incidence) -> Node:
+    """out[e] = a[idx[e]]; incidence is graph.incidence(idx, a's row count)."""
     idx = np.asarray(idx, dtype=np.intp)
-
-    def back(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return Node(a.data[idx], (a,), back)
+    return Node(a.data[idx], (a,), lambda g: (incidence @ g,))
 
 
-def scatter_add_rows(a: Node, idx: np.ndarray, num_rows: int) -> Node:
-    """out[r] = sum of a's rows whose index maps to r; empty rows are zero."""
+def scatter_add_rows(a: Node, idx: np.ndarray, incidence) -> Node:
+    """out[r] = sum of a's rows e with idx[e] == r, in order of e; empty rows
+    are zero. incidence is graph.incidence(idx, number of output rows)."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = np.zeros((num_rows, a.data.shape[1]))
-    np.add.at(out, idx, a.data)
-    return Node(out, (a,), lambda g: (g[idx],))
+    return Node(incidence @ a.data, (a,), lambda g: (g[idx],))
 
 
 def se_mean(pred: Node, target: np.ndarray) -> Node:
@@ -145,7 +133,8 @@ def backward(root: Node) -> None:
         if node.grad_fn is None or node.grad is None:
             continue
         for parent, grad in zip(node.parents, node.grad_fn(node.grad)):
+            # No op writes into a gradient, so the first one is stored as is.
             if parent.grad is None:
-                parent.grad = grad.copy()
+                parent.grad = grad
             else:
                 parent.grad = parent.grad + grad

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from symilp import align
 from symilp import perm as pm
@@ -196,3 +197,62 @@ def test_best_perm_validates_problem():
         _problem(np.zeros((2, 2)), np.zeros((2, 2)), "huber", pm.CYCLIC)
     with pytest.raises(ValueError):
         _problem(np.zeros((2, 2)), np.zeros((2, 2)), align.SE, "coxeter")
+
+
+_LEX_REFINE = align._lex_refine
+
+
+def _lex_reference(w):
+    """The slot-by-slot lex refinement run on every matrix: the rule that
+    hungarian's certified single solve must reproduce."""
+    rows, cols = linear_sum_assignment(w)
+    best = float(w[rows, cols].sum())
+    return _LEX_REFINE(w, best, align._TIE_TOL * max(1.0, abs(best)))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return _LEX_REFINE(*args)
+
+    monkeypatch.setattr(align, "_lex_refine", counted)
+    return calls
+
+
+def test_certified_assignment_agrees_with_lex_refinement(fallbacks):
+    rng = np.random.default_rng(2024)
+    trials = 1050
+    for t in range(trials):
+        q = 2 + t % 7
+        if t % 2:
+            w = rng.integers(0, 3, size=(q, q)).astype(float)  # exact ties are common
+        else:
+            w = rng.uniform(size=(q, q))
+        before = len(fallbacks)
+        p, cost = align.hungarian(w)
+        ref_p, ref_cost = _lex_reference(w)
+        assert p.mapping == ref_p.mapping, (t, w)
+        assert cost == ref_cost
+        if not t % 2:
+            assert len(fallbacks) == before, "a tie-free matrix was not certified"
+    # Ties fell back to the refinement; everything else took one extra solve.
+    assert 0 < len(fallbacks) < trials // 2
+
+
+def test_near_tie_within_tolerance_takes_the_refinement(fallbacks):
+    # The swap costs 1.0 and the identity 1.0 + 2e-13, inside the 1e-12 tie
+    # tolerance: the solver finds the swap, the lex rule wants the identity.
+    w = np.array([[0.5, 0.5], [0.5, 0.5 + 2e-13]])
+    p, cost = align.hungarian(w)
+    assert p == pm.identity(2) and cost == w[0, 0] + w[1, 1]
+    assert fallbacks == [2]
+
+
+def test_gap_beyond_tolerance_is_certified(fallbacks):
+    w = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-12]])
+    p, _ = align.hungarian(w)
+    assert p.mapping == (1, 0)
+    assert fallbacks == []

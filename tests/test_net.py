@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from symilp import net
+from symilp import net, tape
 from symilp.bench import binpack_instance, gen_golomb
-from symilp.graph import VAR_FEATS, BipartiteGraph, encode
+from symilp.graph import VAR_FEATS, BipartiteGraph, encode, incidence
 from symilp.instance import IlpInstance, Variable
 
 
@@ -87,6 +87,60 @@ def test_forward_disjoint_copies_match():
     model = net.init(net.GnnConfig(hidden=8, layers=2), seed=5)
     out = net.forward(model, doubled)
     assert np.allclose(out[:n], out[n:], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# incidence products
+
+
+def _add_at(idx, rows, num_rows):
+    """Reference row accumulation: out[idx[e]] += rows[e] in order of e."""
+    out = np.zeros((num_rows, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+def _check_against_add_at(idx, inc, width, seed):
+    """scatter_add_rows and gather_rows's backward through inc equal the
+    np.add.at reference bit for bit."""
+    rng = np.random.default_rng(seed)
+    idx = np.asarray(idx, dtype=np.intp)
+    num_rows = inc.shape[0]
+    assert inc.shape == (num_rows, idx.size)
+    # Mixed magnitudes make the sum depend on its order; -0.0 checks signs.
+    rows = rng.standard_normal((idx.size, width)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, width))
+    rows[:, 0] = -0.0
+    expected = _add_at(idx, rows, num_rows)
+
+    out = tape.scatter_add_rows(tape.leaf(rows), idx, inc)
+    assert out.data.tobytes() == expected.tobytes()
+    grad = rng.standard_normal((num_rows, width))
+    assert out.grad_fn(grad)[0].tobytes() == grad[idx].tobytes()
+
+    source = tape.leaf(rng.standard_normal((num_rows, width)))
+    gathered = tape.gather_rows(source, idx, inc)
+    assert gathered.data.tobytes() == source.data[idx].tobytes()
+    assert gathered.grad_fn(rows)[0].tobytes() == expected.tobytes()
+
+
+def test_incidence_products_match_add_at_bit_for_bit():
+    # Repeated indices, out of order, with empty rows 2, 4 and 5.
+    idx = [3, 0, 3, 3, 1, 0, 3, 1]
+    _check_against_add_at(idx, incidence(idx, 6), 5, seed=1)
+    rng = np.random.default_rng(2)
+    for seed in range(3, 13):
+        idx = rng.integers(0, 7, size=40)
+        _check_against_add_at(idx, incidence(idx, 9), 32, seed)
+    _check_against_add_at([], incidence([], 4), 3, seed=0)  # no edges: every row empty
+
+
+def test_graph_incidences_match_add_at_bit_for_bit():
+    # The constraint-free graph has no edges and no constraint rows.
+    for g in (small_graph(), encode(gen_golomb(4, 7, seed=1)), empty_edge_graph()):
+        assert g.con_incidence.shape == (g.num_cons, g.num_edges)
+        assert g.var_incidence.shape == (g.num_vars, g.num_edges)
+        _check_against_add_at(g.edge_con, g.con_incidence, 32, seed=1)
+        _check_against_add_at(g.edge_var, g.var_incidence, 32, seed=2)
 
 
 # ---------------------------------------------------------------------------

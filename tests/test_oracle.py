@@ -289,6 +289,18 @@ def test_edge_statuses_agree_with_linprog_and_bb_stops():
         assert res.solution is None and res.nodes <= 3
 
 
+def test_bb_reports_unbounded_once_no_integral_variable_is_left():
+    # The free-variable instance above: min -x0 + x1, x0 free, x1 binary.
+    # Every node LP is unbounded; after branching on x1 nothing is left.
+    unbounded = IlpInstance(
+        "free", (Variable(-np.inf, np.inf, "continuous", 0), Variable(0.0, 1.0, "binary", 1)),
+        (-1.0, 1.0), (make_constraint([(1, 1.0)], LE, 1.0),), None, {},
+    )
+    res = oracle.solve_bb(unbounded)
+    assert res.status == oracle.UNBOUNDED
+    assert res.solution is None and res.bound == -np.inf and res.nodes == 2
+
+
 def test_lp_ms_is_part_of_wall_ms(ex1):
     res = oracle.solve_bb(ex1)
     assert res.nodes >= 1

@@ -1,6 +1,7 @@
 """Guards over the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import symilp
@@ -40,3 +41,22 @@ def test_config_fields_are_read():
     assert set(fields) == classes
     unread = [f"{cls}.{name}" for cls, names in sorted(fields.items()) for name in names if name not in reads]
     assert not unread, f"config fields never read in the package: {unread}"
+
+
+def test_traced_span_targets_resolve():
+    # perfbench's traced run wraps these (module, attribute) pairs by name;
+    # a rename in the package would otherwise only fail at trace time.
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"), filename=str(spans))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"span targets missing from the package: {missing}"
