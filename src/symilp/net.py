@@ -104,8 +104,21 @@ def _mlp(params, prefix: str, x: tape.Node) -> tape.Node:
     return tape.perceptron(x, w1, b1, w2, b2)
 
 
-def _forward_tape(model: GnnModel, graph: BipartiteGraph):
-    """Build the forward graph; returns (logits node, param leaf dict)."""
+@dataclass
+class TapeForward:
+    """One forward pass held on the tape: the logits node and the parameter
+    leaves. loss_and_grad's backward consumes it; hold it no longer."""
+
+    logits: tape.Node
+    leaves: dict[str, tape.Node]
+
+    def probs(self) -> np.ndarray:
+        """Predicted values in (0,1), one per variable node."""
+        return tape.sigmoid(self.logits).data.reshape(-1)
+
+
+def forward_tape(model: GnnModel, graph: BipartiteGraph) -> TapeForward:
+    """Build the forward graph at the model's current weights."""
     p = {name: tape.leaf(arr) for name, arr in model.params.items()}
     v = tape.relu(tape.affine(graph.var_feats, p["emb_v.W"], p["emb_v.b"]))
     c = tape.relu(tape.affine(graph.con_feats, p["emb_c.W"], p["emb_c.b"]))
@@ -124,14 +137,12 @@ def _forward_tape(model: GnnModel, graph: BipartiteGraph):
         agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, var_inc)
         v = _mlp(p, f"layer{l}.f_v", tape.concat_cols([v, agg_v]))
 
-    logits = _mlp(p, "out", v)
-    return logits, p
+    return TapeForward(_mlp(p, "out", v), p)
 
 
 def forward(model: GnnModel, graph: BipartiteGraph) -> np.ndarray:
     """Predicted values in (0,1), one per variable node."""
-    logits, _ = _forward_tape(model, graph)
-    return tape.sigmoid(logits).data.reshape(-1)
+    return forward_tape(model, graph).probs()
 
 
 def loss_and_grad(
@@ -140,13 +151,19 @@ def loss_and_grad(
     target: np.ndarray,
     loss_kind: str = BCE,
     target_idx: np.ndarray | None = None,
+    fwd: TapeForward | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss (mean over predicted variables) and its gradient in parameters.
 
     `target_idx` restricts both prediction and target to a subset of
-    variables; the default covers every variable node.
+    variables; the default covers every variable node. `fwd` is
+    forward_tape(model, graph) at the current weights, when the caller has
+    already run it (to read the prediction before choosing the target);
+    otherwise the forward pass runs here.
     """
-    logits, p = _forward_tape(model, graph)
+    if fwd is None:
+        fwd = forward_tape(model, graph)
+    logits, p = fwd.logits, fwd.leaves
     if target_idx is not None:
         idx = np.asarray(target_idx, dtype=np.intp)
         logits = tape.gather_rows(logits, idx, incidence(idx, graph.num_vars))

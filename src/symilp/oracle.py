@@ -256,6 +256,13 @@ def lp_relax(instance: IlpInstance, extra_constraints=()) -> LpResult:
 # Exhaustive enumeration
 
 
+def _times_bound(coef: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """coef * bound, where a zero coefficient counts as zero also against an
+    infinite bound."""
+    out = np.zeros(np.broadcast_shapes(coef.shape, bound.shape))
+    return np.multiply(coef, bound, out=out, where=coef != 0)
+
+
 def brute_force(instance: IlpInstance, collect_all: bool = False):
     """Exact optimum by exhaustive enumeration over integral assignments.
 
@@ -263,7 +270,8 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
     exactness. With collect_all the full set of optimal solutions is returned
     as a second value (pure-integer instances only). Instances with
     continuous variables are finished with an LP on the continuous block at
-    every integral leaf.
+    every integral leaf; as in solve_bb, the status is UNBOUNDED once such
+    an LP is unbounded.
     """
     sys_ = _DenseSystem.build(instance)
     n = instance.num_vars
@@ -280,8 +288,9 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
     t0 = time.perf_counter()
     order = list(int_idx) + list(cont_idx)  # integral first, enumeration by index
     a_ord = sys_.a[:, order]
-    lo_col = np.minimum(a_ord * sys_.lb[order], a_ord * sys_.ub[order])
-    hi_col = np.maximum(a_ord * sys_.lb[order], a_ord * sys_.ub[order])
+    lb_ord, ub_ord = sys_.lb[order], sys_.ub[order]
+    lo_col = np.minimum(_times_bound(a_ord, lb_ord), _times_bound(a_ord, ub_ord))
+    hi_col = np.maximum(_times_bound(a_ord, lb_ord), _times_bound(a_ord, ub_ord))
     m = sys_.a.shape[0]
     depth_n = len(order)
     suf_lo = np.zeros((depth_n + 1, m))
@@ -290,27 +299,30 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
         suf_lo[d] = suf_lo[d + 1] + lo_col[:, d]
         suf_hi[d] = suf_hi[d + 1] + hi_col[:, d]
     c_ord = sys_.c[order]
+    c_lo = np.minimum(_times_bound(c_ord, lb_ord), _times_bound(c_ord, ub_ord))
     c_suf_lo = np.zeros(depth_n + 1)
     for d in range(depth_n - 1, -1, -1):
-        c_suf_lo[d] = c_suf_lo[d + 1] + min(
-            c_ord[d] * sys_.lb[order[d]], c_ord[d] * sys_.ub[order[d]]
-        )
+        c_suf_lo[d] = c_suf_lo[d + 1] + c_lo[d]
 
     n_int = len(int_idx)
     best_obj = np.inf
     best_vals: np.ndarray | None = None
     ties: list[np.ndarray] = []
     nodes = 0
+    unbounded = False
     x = np.zeros(n)
     act = np.zeros(m)
 
     def finish_leaf(partial_obj: float):
-        nonlocal best_obj, best_vals, ties
+        nonlocal best_obj, best_vals, ties, unbounded
         if cont_idx.size:
             lb = sys_.lb.copy()
             ub = sys_.ub.copy()
             lb[int_idx] = ub[int_idx] = x[int_idx]
             res = _solve_lp(sys_, lb, ub)
+            # An unbounded LP over the continuous block, with every integral
+            # variable fixed, leaves the whole problem without a lower bound.
+            unbounded = res.status == UNBOUNDED
             if res.status != OPTIMAL:
                 return
             obj, vals = res.value, res.x.copy()
@@ -324,6 +336,8 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
 
     def descend(depth: int, partial_obj: float):
         nonlocal nodes, act
+        if unbounded:
+            return
         # At depth == n_int the suffix intervals cover only the continuous
         # block (empty for pure-integer instances), so this doubles as the
         # exact leaf feasibility check.
@@ -346,6 +360,8 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
 
     descend(0, 0.0)
     wall = (time.perf_counter() - t0) * 1e3
+    if unbounded:
+        return SolveResult(UNBOUNDED, None, -np.inf, nodes, wall, sys_.lp_ms)
     if best_vals is None:
         result = SolveResult(INFEASIBLE, None, np.inf, nodes, wall, sys_.lp_ms)
         return (result, []) if collect_all else result

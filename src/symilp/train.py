@@ -10,7 +10,17 @@ Classic mode is the same loop with the alignment switched off.
 Per epoch both the plain risk r (labels as stored) and the aligned risk r_s
 (labels re-aligned to the current model, not persisted) are recorded for the
 training and validation splits, in both modes, so the two runs can be
-compared on a common scale. Both come from one forward pass per sample.
+compared on a common scale.
+
+Each sample goes through the network once per weight state:
+- a gradient step's tape forward (net.forward_tape) gives the prediction
+  that the alignment update reads (symmetry-aware mode, first inner step),
+  then the loss against the aligned label and the backward pass;
+- the first step of epoch e+1 runs at the weights epoch e ended with, so
+  its tape forwards also give both risk terms of epoch e for the samples
+  in that batch (r_s reuses the alignment update's permutation);
+- epoch e's risk pass runs net.forward on the remaining training samples
+  and on the validation split. The last epoch's pass covers every sample.
 """
 
 from __future__ import annotations
@@ -161,24 +171,54 @@ def _alignment(s: LabeledSample, probs: np.ndarray, loss: str) -> align.Alignmen
     return align.AlignmentProblem(probs[s.grid], s.label[s.grid], loss, s.group_kind)
 
 
-def update_permutations(model: net.GnnModel, samples, loss: str = net.BCE) -> None:
+def update_permutations(model: net.GnnModel, samples, loss: str = net.BCE, probs=None) -> None:
     """Exact per-sample alignment update (the discrete half of the alternation).
 
     Each sample's permutation becomes the group element minimizing the loss
-    between the current prediction and the permuted label. The minimized
-    value can never exceed the previous one; a RuntimeError naming the
-    sample is raised if it does.
+    between the current prediction and the permuted label. `probs` holds
+    each sample's prediction (net.forward's output at the model's current
+    weights) when the caller already has it; otherwise it is computed here.
+    The minimized value can never exceed the previous one; a RuntimeError
+    naming the sample is raised if it does.
     """
-    for s in samples:
+    for k, s in enumerate(samples):
         if s.grid is None:
             continue
-        problem = _alignment(s, net.forward(model, s.graph), loss)
+        pred = net.forward(model, s.graph) if probs is None else probs[k]
+        problem = _alignment(s, pred, loss)
         new_pi, new_loss = align.best_perm(problem)
         old_pi = s.pi if s.pi is not None else pm.identity(new_pi.degree)
         old_loss = align.permuted_loss(problem.xhat, problem.x, old_pi, loss)
         if not new_loss <= old_loss + MONOTONE_TOL:
             raise RuntimeError(f"alignment increased the loss on {s.name}: {old_loss} -> {new_loss}")
         s.pi = new_pi
+
+
+def _risk_terms(s: LabeledSample, probs: np.ndarray, loss: str, pi=None) -> tuple[float, float]:
+    """One sample's plain and aligned loss for the prediction `probs`.
+
+    The aligned loss scores the label permuted by pi, or by the group
+    element best aligned to probs when pi is None. A sample without a grid
+    scores its label as stored in both.
+    """
+    plain = net.loss_from_probs(probs, s.label, loss, s.target_idx)
+    if s.grid is None:
+        return plain, plain
+    if pi is None:
+        pi, _ = align.best_perm(_alignment(s, probs, loss))
+    target = permute_values(s.instance.symmetry, pi, s.label)
+    return plain, net.loss_from_probs(probs, target, loss, s.target_idx)
+
+
+def _means(terms) -> tuple[float, float]:
+    """Mean plain and aligned risk, summed in sample order."""
+    if not terms:
+        raise ValueError("empty sample set")
+    r = r_s = 0.0
+    for plain, aligned in terms:
+        r += plain
+        r_s += aligned
+    return r / len(terms), r_s / len(terms)
 
 
 def aligned_risk(model: net.GnnModel, samples, loss: str = net.BCE) -> tuple[float, float]:
@@ -188,41 +228,47 @@ def aligned_risk(model: net.GnnModel, samples, loss: str = net.BCE) -> tuple[flo
     group element best aligned to the same prediction. Sample state is
     untouched.
     """
-    if not samples:
-        raise ValueError("empty sample set")
-    r = r_s = 0.0
-    for s in samples:
-        probs = net.forward(model, s.graph)
-        plain = net.loss_from_probs(probs, s.label, loss, s.target_idx)
-        r += plain
-        if s.grid is None:
-            r_s += plain
-            continue
-        pi, _ = align.best_perm(_alignment(s, probs, loss))
-        target = permute_values(s.instance.symmetry, pi, s.label)
-        r_s += net.loss_from_probs(probs, target, loss, s.target_idx)
-    return r / len(samples), r_s / len(samples)
+    return _means([_risk_terms(s, net.forward(model, s.graph), loss) for s in samples])
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 
 
-def _batch_step(model, state, batch, loss: str, aligned: bool) -> float:
-    """One Adam step on the batch's mean gradient; returns the batch's mean loss."""
+def _batch_grads(model, batch, loss: str, aligned: bool, see_probs=None):
+    """The batch's mean loss and mean gradient, one forward pass per sample.
+
+    see_probs(k, probs), when given, receives the prediction of batch[k]
+    before its loss is taken, so it may realign the label the loss scores.
+    """
     scale = 1.0 / len(batch)
     acc: dict[str, np.ndarray] | None = None
     total = 0.0
-    for s in batch:
-        value, grads = net.loss_and_grad(model, s.graph, _target_values(s, aligned), loss, s.target_idx)
+    for k, s in enumerate(batch):
+        fwd = net.forward_tape(model, s.graph)
+        if see_probs is not None:
+            see_probs(k, fwd.probs())
+        value, grads = net.loss_and_grad(model, s.graph, _target_values(s, aligned), loss, s.target_idx, fwd)
+        del fwd  # no tape outlives its backward pass
         total += value * scale
         if acc is None:
-            acc = {k: g * scale for k, g in grads.items()}
+            acc = {name: g * scale for name, g in grads.items()}
         else:
-            for k, g in grads.items():
-                acc[k] += g * scale
-    net.adam_step(model, state, acc)
-    return total
+            for name, g in grads.items():
+                acc[name] += g * scale
+    return total, acc
+
+
+@dataclass
+class _EpochRisks:
+    """One epoch's risks at the weights the epoch ended with: per-sample
+    (plain, aligned) training terms, filled in any order and averaged in
+    sample order, and the validation split's means (None without one)."""
+
+    epoch: int
+    wall_ms: float
+    fit: list
+    val: tuple[float, float] | None
 
 
 def fit(
@@ -238,13 +284,20 @@ def fit(
     groups everywhere) the loop degrades to classic training exactly, step
     for step. A batch loss or selection risk that is not finite raises
     FloatingPointError naming the epoch.
+
+    Forward passes are shared as the module docstring says: epoch e+1's
+    order is drawn before epoch e's risk pass, so that pass can skip the
+    samples of epoch e+1's first batch. Epoch e's curve row, and without a
+    validation split its model selection, are completed by that batch's
+    first step, before its Adam update.
     """
     if not train_samples:
         raise ValueError("training set is empty")
     model = net.init(net.GnnConfig(cfg.hidden, cfg.layers), cfg.seed)
     state = net.AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    selection = list(val_samples) if val_samples else list(train_samples)
+    val_samples = list(val_samples)
+    n = len(train_samples)
 
     symaware = cfg.mode == SYMMETRY_AWARE and not cfg.force_identity
 
@@ -256,26 +309,14 @@ def fit(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    t0 = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_samples))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[start : start + cfg.batch_size]]
-            if symaware:
-                update_permutations(model, batch, cfg.loss)
-            for _ in range(cfg.inner_steps):
-                if not np.isfinite(_batch_step(model, state, batch, cfg.loss, aligned=symaware)):
-                    raise FloatingPointError(f"epoch {epoch}: batch loss is not finite")
-
+    def terms(s, probs, pi=None):
         if cfg.force_identity:
-            r_tr = rs_tr = risk_classic(model, train_samples, cfg.loss)
-            r_val = rs_val = risk_classic(model, selection, cfg.loss)
-        else:
-            r_tr, rs_tr = aligned_risk(model, train_samples, cfg.loss)
-            r_val, rs_val = aligned_risk(model, selection, cfg.loss)
-        wall = (time.perf_counter() - t0) * 1e3
-        curve.append(EpochStats(epoch, r_tr, rs_tr, r_val, rs_val, wall))
+            plain = net.loss_from_probs(probs, s.label, cfg.loss, s.target_idx)
+            return plain, plain
+        return _risk_terms(s, probs, cfg.loss, pi)
 
+    def select(epoch: int, r_val: float, rs_val: float) -> None:
+        nonlocal best_val, best_epoch, best_params
         sel = rs_val if symaware else r_val
         if not np.isfinite(sel):
             raise FloatingPointError(f"epoch {epoch}: selection risk is {sel}")
@@ -287,6 +328,56 @@ def fit(
                 path = os.path.join(out_dir, f"ckpt_ep{epoch:03d}.bin")
                 net.save_checkpoint(model, path)
                 ckpts.append(path)
+
+    def close(risks: _EpochRisks) -> None:
+        r_tr, rs_tr = _means(risks.fit)
+        r_val, rs_val = risks.val or (r_tr, rs_tr)
+        curve.append(EpochStats(risks.epoch, r_tr, rs_tr, r_val, rs_val, risks.wall_ms))
+        if risks.val is None:
+            select(risks.epoch, r_val, rs_val)
+
+    t0 = time.perf_counter()
+    order = rng.permutation(n)
+    # The previous epoch's risks, while this epoch's first step owes terms.
+    pending: _EpochRisks | None = None
+    for epoch in range(1, cfg.epochs + 1):
+        for start in range(0, n, cfg.batch_size):
+            picked = order[start : start + cfg.batch_size]
+            batch = [train_samples[i] for i in picked]
+            scoring = pending if start == 0 else None
+
+            def see_probs(k, probs):
+                s = batch[k]
+                if symaware:
+                    update_permutations(model, [s], cfg.loss, [probs])
+                if scoring is not None:
+                    scoring.fit[picked[k]] = terms(s, probs, s.pi if symaware else None)
+
+            for inner in range(cfg.inner_steps):
+                total, grads = _batch_grads(model, batch, cfg.loss, symaware, see_probs if inner == 0 else None)
+                if inner == 0 and scoring is not None:
+                    close(scoring)
+                    pending = None
+                net.adam_step(model, state, grads)
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"epoch {epoch}: batch loss is not finite")
+
+        owed = set()
+        if epoch < cfg.epochs:
+            order = rng.permutation(n)
+            owed = set(order[: cfg.batch_size].tolist())
+        fit_terms = [
+            None if i in owed else terms(s, net.forward(model, s.graph))
+            for i, s in enumerate(train_samples)
+        ]
+        val = _means([terms(s, net.forward(model, s.graph)) for s in val_samples]) if val_samples else None
+        risks = _EpochRisks(epoch, (time.perf_counter() - t0) * 1e3, fit_terms, val)
+        if val is not None:
+            select(epoch, *val)
+        if owed:
+            pending = risks
+        else:
+            close(risks)
 
     if best_params is not None:
         model.params = best_params

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,20 @@ def test_bb_reports_unbounded_once_no_integral_variable_is_left():
     res = oracle.solve_bb(unbounded)
     assert res.status == oracle.UNBOUNDED
     assert res.solution is None and res.bound == -np.inf and res.nodes == 2
+
+
+def test_brute_force_reports_unbounded_without_warnings():
+    # The same instance: the continuous leaf LP is unbounded, and the free
+    # variable's zero coefficient in the binary's row meets infinite bounds.
+    unbounded = IlpInstance(
+        "free", (Variable(-np.inf, np.inf, "continuous", 0), Variable(0.0, 1.0, "binary", 1)),
+        (-1.0, 1.0), (make_constraint([(1, 1.0)], LE, 1.0),), None, {},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = oracle.brute_force(unbounded)
+    assert res.status == oracle.UNBOUNDED == oracle.solve_bb(unbounded).status
+    assert res.solution is None and res.bound == -np.inf
 
 
 def test_lp_ms_is_part_of_wall_ms(ex1):

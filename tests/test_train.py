@@ -1,4 +1,6 @@
+import collections
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from symilp import align, bench, net, oracle, train
 from symilp import perm as pm
 from symilp.instance import permute_values
+
+from _reference import reference_fit
 
 
 def labeled_binpack(sizes=(1, 2, 3), bins=3, capacity=3, name="s"):
@@ -204,35 +208,100 @@ def test_proposition_one_separation_small():
     assert rs.curve[-1].rs_tr < 0.9 * floor
 
 
-@pytest.mark.parametrize(
-    "mode, force_identity", [("symaware", False), ("classic", False), ("symaware", True)]
-)
-def test_fit_runs_one_forward_pass_per_use(monkeypatch, mode, force_identity):
-    # Per epoch: one forward per grid sample for the alignment update (in
-    # symmetry-aware mode), then one per sample for both risks of each split.
+FIT_MODES = [("symaware", False), ("classic", False), ("symaware", True)]
+# (batch_size, inner_steps, with a validation split): one batch and several
+# batches per epoch, one and two Adam steps per batch.
+FIT_SHAPES = list(itertools.product((8, 2), (1, 2), (True, False)))
+
+
+def fit_data():
     trivial = labeled_binpack(sizes=(2,), bins=1, name="trivial")
-    fit_samples = small_dataset(4) + [trivial]
-    val_samples = small_dataset(2, seed=1)
-    n_fit_with_grid = sum(s.grid is not None for s in fit_samples)
-    assert n_fit_with_grid == 4
-    calls = []
-    real_forward = net.forward
+    return small_dataset(4) + [trivial], small_dataset(2, seed=1)
 
-    def counting_forward(model, graph):
-        calls.append(graph)
-        return real_forward(model, graph)
 
-    monkeypatch.setattr(net, "forward", counting_forward)
-    epochs = 3
-    cfg = train.TrainConfig(
-        epochs=epochs, mode=mode, batch_size=2, inner_steps=2, seed=0, hidden=6, layers=1,
-        force_identity=force_identity,
+def fit_config(mode, force_identity, batch_size, inner_steps, epochs=3):
+    return train.TrainConfig(
+        epochs=epochs, mode=mode, batch_size=batch_size, inner_steps=inner_steps, lr=5e-3,
+        seed=0, hidden=6, layers=1, force_identity=force_identity,
     )
-    train.fit(fit_samples, cfg, val_samples)
-    per_epoch = len(fit_samples) + len(val_samples)
-    if mode == "symaware" and not force_identity:
-        per_epoch += n_fit_with_grid
-    assert len(calls) == epochs * per_epoch
+
+
+@pytest.mark.parametrize("mode, force_identity", FIT_MODES)
+def test_fit_runs_one_forward_pass_per_use(monkeypatch, mode, force_identity):
+    # Every forward pass, tape forwards included, keyed by (sample, Adam
+    # steps taken so far): the pairs are exactly the batch samples of each
+    # step and every sample at each epoch's end, and none occurs twice.
+    fit_samples, val_all = fit_data()
+    forwards = collections.Counter()
+    steps = [0]
+    real_forward_tape, real_adam_step = net.forward_tape, net.adam_step
+
+    def counting_forward_tape(model, graph):
+        forwards[id(graph), steps[0]] += 1
+        return real_forward_tape(model, graph)
+
+    def counting_adam_step(*args):
+        steps[0] += 1
+        return real_adam_step(*args)
+
+    monkeypatch.setattr(net, "forward_tape", counting_forward_tape)
+    monkeypatch.setattr(net, "adam_step", counting_adam_step)
+    for batch_size, inner_steps, with_val in FIT_SHAPES:
+        val_samples = val_all if with_val else []
+        for s in fit_samples + val_samples:
+            s.pi = None
+        cfg = fit_config(mode, force_identity, batch_size, inner_steps)
+        forwards.clear()
+        steps[0] = 0
+        train.fit(fit_samples, cfg, val_samples)
+
+        expected, step = set(), 0
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(fit_samples))
+            for start in range(0, len(order), batch_size):
+                for _ in range(inner_steps):
+                    expected |= {(id(fit_samples[i].graph), step) for i in order[start : start + batch_size]}
+                    step += 1
+            expected |= {(id(s.graph), step) for s in fit_samples + val_samples}
+        assert set(forwards) == expected, (batch_size, inner_steps, with_val)
+        assert set(forwards.values()) == {1}, (batch_size, inner_steps, with_val)
+
+
+def fit_outputs(result, out_dir):
+    files = {
+        name: (out_dir / name).read_bytes()
+        for name in sorted(os.listdir(out_dir))
+        if name != "curve.csv"
+    }
+    return (
+        [(e.epoch, e.r_tr, e.rs_tr, e.r_val, e.rs_val) for e in result.curve],
+        result.best_epoch,
+        result.best_val,
+        {k: v.tobytes() for k, v in result.model.params.items()},
+        [os.path.basename(p) for p in result.checkpoint_paths],
+        files,
+    )
+
+
+@pytest.mark.parametrize("mode, force_identity", FIT_MODES)
+def test_fit_reproduces_the_reference_loop(tmp_path, mode, force_identity):
+    # fit shares forward passes between the alignment, the gradient step and
+    # the epoch's risks; the plain loop in tests/_reference.py shares none.
+    # Curves, selection, parameters, permutations and files agree bit for bit.
+    fit_samples, val_all = fit_data()
+    for batch_size, inner_steps, with_val in FIT_SHAPES:
+        val_samples = val_all if with_val else []
+        cfg = fit_config(mode, force_identity, batch_size, inner_steps, epochs=4)
+        runs = []
+        for tag, run in (("fit", train.fit), ("reference", reference_fit)):
+            for s in fit_samples + val_samples:
+                s.pi = None
+            out_dir = tmp_path / f"{tag}-{batch_size}-{inner_steps}-{with_val}"
+            result = run(fit_samples, cfg, val_samples, out_dir=str(out_dir))
+            pis = [None if s.pi is None else s.pi.mapping for s in fit_samples]
+            runs.append((fit_outputs(result, out_dir), pis))
+        assert runs[0] == runs[1], (batch_size, inner_steps, with_val)
 
 
 def test_fit_raises_on_non_finite_batch_loss():
