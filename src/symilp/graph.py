@@ -8,7 +8,8 @@ coefficient A_jk becomes a weighted edge. Feature layout:
 
 Edge weights are the raw coefficients scaled by the per-row max amplitude.
 Each side also gets a 0/1 incidence matrix over the edges, so the network
-sums per-edge messages into nodes with one sparse product.
+sums per-edge messages into nodes with one sparse product, and a degree
+per node (its number of edges).
 
 r_pos is a symmetry-breaking tag: a uniform [0, 1) draw from a fixed-seed
 stream, indexed by variable position. Message passing cannot tell apart
@@ -49,10 +50,17 @@ class BipartiteGraph:
     # edges in edge order, so it equals a per-edge accumulation bit for bit.
     con_incidence: csr_array = field(init=False, repr=False, compare=False)  # m x E
     var_incidence: csr_array = field(init=False, repr=False, compare=False)  # n x E
+    # Edges per node as float64, the incidences' row sums.
+    con_degree: np.ndarray = field(init=False, repr=False, compare=False)  # (m,)
+    var_degree: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
 
     def __post_init__(self):
-        object.__setattr__(self, "con_incidence", incidence(self.edge_con, self.num_cons))
-        object.__setattr__(self, "var_incidence", incidence(self.edge_var, self.num_vars))
+        con_inc = incidence(self.edge_con, self.num_cons)
+        var_inc = incidence(self.edge_var, self.num_vars)
+        object.__setattr__(self, "con_incidence", con_inc)
+        object.__setattr__(self, "var_incidence", var_inc)
+        object.__setattr__(self, "con_degree", np.diff(con_inc.indptr).astype(float))
+        object.__setattr__(self, "var_degree", np.diff(var_inc.indptr).astype(float))
 
     @property
     def num_vars(self) -> int:

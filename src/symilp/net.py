@@ -7,6 +7,14 @@ then does the same against the already-updated constraint embeddings. A
 final two-layer head with a sigmoid turns variable embeddings into values
 in (0,1), interpreted as probabilities for binary variables.
 
+A message is a two-layer perceptron of [c_j, v_k, a_jk] on edge (j, k).
+Both of its layers are linear maps, so they commute with the gather and the
+sum (as in the bipartite convolution of Gasse, Chételat, Ferroni, Charlin
+& Lodi, NeurIPS 2019): the first layer projects node embeddings before
+they are gathered per edge, and the second layer maps each node's sum of
+hidden rows once, with its bias counted once per edge. The result equals
+the per-edge composition up to the order of floating-point sums.
+
 All tensors are float64 and every reduction runs in a fixed order, so a
 fixed seed and data order reproduce training bit-for-bit. Checkpoints are a
 versioned binary file (flat little-endian float64 parameter dump) plus a
@@ -117,24 +125,27 @@ class TapeForward:
         return tape.sigmoid(self.logits).data.reshape(-1)
 
 
+def _messages(p, prefix: str, c: tape.Node, v: tape.Node, graph: BipartiteGraph, to) -> tape.Node:
+    """Per receiving node, the sum of message perceptron `prefix` over its
+    edges; `to` is the receiving side's (edge index, incidence, degree)."""
+    idx, inc, degree = to
+    hidden = tape.edge_hidden(c, v, p[prefix + ".W1"], p[prefix + ".b1"], graph)
+    summed = tape.scatter_add_rows(hidden, idx, inc)
+    return tape.summed_linear(summed, p[prefix + ".W2"], p[prefix + ".b2"], degree)
+
+
 def forward_tape(model: GnnModel, graph: BipartiteGraph) -> TapeForward:
     """Build the forward graph at the model's current weights."""
     p = {name: tape.leaf(arr) for name, arr in model.params.items()}
     v = tape.relu(tape.affine(graph.var_feats, p["emb_v.W"], p["emb_v.b"]))
     c = tape.relu(tape.affine(graph.con_feats, p["emb_c.W"], p["emb_c.b"]))
-    w = tape.leaf(graph.edge_weight.reshape(-1, 1))
-    con_inc, var_inc = graph.con_incidence, graph.var_incidence
+    to_cons = (graph.edge_con, graph.con_incidence, graph.con_degree)
+    to_vars = (graph.edge_var, graph.var_incidence, graph.var_degree)
 
     for l in range(model.cfg.layers):
-        ce = tape.gather_rows(c, graph.edge_con, con_inc)
-        ve = tape.gather_rows(v, graph.edge_var, var_inc)
-        msg_c = _mlp(p, f"layer{l}.g_c", tape.concat_cols([ce, ve, w]))
-        agg_c = tape.scatter_add_rows(msg_c, graph.edge_con, con_inc)
+        agg_c = _messages(p, f"layer{l}.g_c", c, v, graph, to_cons)
         c = _mlp(p, f"layer{l}.f_c", tape.concat_cols([c, agg_c]))
-
-        ce = tape.gather_rows(c, graph.edge_con, con_inc)
-        msg_v = _mlp(p, f"layer{l}.g_v", tape.concat_cols([ce, ve, w]))
-        agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, var_inc)
+        agg_v = _messages(p, f"layer{l}.g_v", c, v, graph, to_vars)
         v = _mlp(p, f"layer{l}.f_v", tape.concat_cols([v, agg_v]))
 
     return TapeForward(_mlp(p, "out", v), p)

@@ -3,9 +3,13 @@
 Covers exactly the operations the message-passing network needs: affine
 maps of constant inputs, two-layer perceptrons as one node, ReLU, sigmoid,
 row gather and scatter-add as products with 0/1 incidence matrices,
-concatenation, and fused mean losses. Gradients accumulate in a fixed
-reverse-topological order, so a fixed computation produces bit-identical
-gradients on every run.
+concatenation, and fused mean losses. A message perceptron over the edges
+of a bipartite graph is split in three nodes: `edge_hidden` (its first
+layer and ReLU), `scatter_add_rows` (the sum into receiving nodes) and
+`summed_linear` (its second layer, applied after the sum). Every matmul in
+them runs on node embeddings; only gathers, adds, the ReLU and the scatter
+work per edge. Gradients accumulate in a fixed reverse-topological order,
+so a fixed computation produces bit-identical gradients on every run.
 """
 
 from __future__ import annotations
@@ -51,14 +55,55 @@ def perceptron(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     return Node(h @ w2.data + b2.data, (x, w1, b1, w2, b2), back)
 
 
+def edge_hidden(c: Node, v: Node, w1: Node, b1: Node, graph) -> Node:
+    """relu([c[j], v[k], a_jk] @ W1 + b1) for every edge e = (j, k) of graph,
+    a BipartiteGraph, as one E x hidden node.
+
+    W1's rows split into a block for c, a block for v and a last row for the
+    edge weight. The blocks multiply the node embeddings, and the products
+    are gathered per edge, so matmul work scales with nodes, not edges. The
+    backward pass likewise sums each edge's gradient into its endpoints
+    with the incidence matrices before any matmul.
+    """
+    hc = c.shape[1]
+    wc, wv, ww = w1.data[:hc], w1.data[hc:-1], w1.data[-1]
+    weight = graph.edge_weight
+    # b1 joins the constraint-side projection, one add per node rather than
+    # per edge; its gradient is then the column sum of the constraint side's.
+    pre = (c.data @ wc + b1.data).take(graph.edge_con, axis=0)
+    pre += (v.data @ wv).take(graph.edge_var, axis=0)
+    pre += np.multiply.outer(weight, ww)
+    h = np.maximum(pre, 0.0, out=pre)
+
+    def back(g):
+        gp = g * (h > 0)
+        gc = graph.con_incidence @ gp
+        gv = graph.var_incidence @ gp
+        gw1 = np.concatenate([c.data.T @ gc, v.data.T @ gv, (weight @ gp)[None]])
+        return (gc @ wc.T, gv @ wv.T, gw1, gc.sum(axis=0))
+
+    return Node(h, (c, v, w1, b1), back)
+
+
+def summed_linear(s: Node, w: Node, b: Node, count: np.ndarray) -> Node:
+    """s @ W + count ⊗ b, where row r of s sums count[r] inputs: a linear
+    layer applied to each input and summed over them, computed once per row."""
+    return Node(
+        s.data @ w.data + count[:, None] * b.data,
+        (s, w, b),
+        lambda g: (g @ w.data.T, s.data.T @ g, count @ g),
+    )
+
+
 def relu(a: Node) -> Node:
     mask = a.data > 0
     return Node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    # Stable in both tails: exp only ever sees a non-positive argument.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Node) -> Node:

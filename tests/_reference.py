@@ -1,11 +1,18 @@
-"""A plain reference loop for train.fit, for tests only.
+"""Plain reference implementations, for tests only.
 
-It runs SymILO's alternation the straightforward way: per mini-batch, the
-alignment update on its own forward passes, then one loss_and_grad per
-sample, and after every epoch `aligned_risk` (or `risk_classic` under
-force_identity) over each split. Every sample goes through the network up
-to three times at the same weights. train.fit shares those forward passes
-and must reproduce this loop bit for bit.
+`reference_forward_tape` computes each message the textbook way: gather
+both endpoint embeddings per edge, concatenate them with the edge weight,
+run the two-layer message perceptron on every edge, and scatter-add the
+results into the receiving nodes. net.forward_tape computes the same
+messages with the perceptron's matmuls on node embeddings, so the two agree
+up to the order of floating-point sums.
+
+`reference_fit` runs SymILO's alternation the straightforward way: per
+mini-batch, the alignment update on its own forward passes, then one
+loss_and_grad per sample, and after every epoch `aligned_risk` (or
+`risk_classic` under force_identity) over each split. Every sample goes
+through the network up to three times at the same weights. train.fit
+shares those forward passes and must reproduce this loop bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +21,31 @@ import os
 
 import numpy as np
 
-from symilp import net, train
+from symilp import net, tape, train
 from symilp.instance import permute_values
+
+
+def reference_forward_tape(model, graph):
+    """net.forward_tape with every message computed per edge."""
+    p = {name: tape.leaf(arr) for name, arr in model.params.items()}
+    v = tape.relu(tape.affine(graph.var_feats, p["emb_v.W"], p["emb_v.b"]))
+    c = tape.relu(tape.affine(graph.con_feats, p["emb_c.W"], p["emb_c.b"]))
+    w = tape.leaf(graph.edge_weight.reshape(-1, 1))
+    con_inc, var_inc = graph.con_incidence, graph.var_incidence
+
+    for l in range(model.cfg.layers):
+        ce = tape.gather_rows(c, graph.edge_con, con_inc)
+        ve = tape.gather_rows(v, graph.edge_var, var_inc)
+        msg_c = net._mlp(p, f"layer{l}.g_c", tape.concat_cols([ce, ve, w]))
+        agg_c = tape.scatter_add_rows(msg_c, graph.edge_con, con_inc)
+        c = net._mlp(p, f"layer{l}.f_c", tape.concat_cols([c, agg_c]))
+
+        ce = tape.gather_rows(c, graph.edge_con, con_inc)
+        msg_v = net._mlp(p, f"layer{l}.g_v", tape.concat_cols([ce, ve, w]))
+        agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, var_inc)
+        v = net._mlp(p, f"layer{l}.f_v", tape.concat_cols([v, agg_v]))
+
+    return net.TapeForward(net._mlp(p, "out", v), p)
 
 
 def _target(s, aligned):

@@ -23,6 +23,8 @@ from symilp.instance import (
     make_constraint,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (0, 1, 2, 3, 4)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _reference import reference_forward_tape
 from symilp import net, tape
-from symilp.bench import binpack_instance, gen_golomb
+from symilp.bench import binpack_instance, gen_binpack, gen_golomb, gen_item_placement, gen_pesp, gen_smsp
 from symilp.graph import VAR_FEATS, BipartiteGraph, encode, incidence
 from symilp.instance import IlpInstance, Variable
 
@@ -87,6 +88,125 @@ def test_forward_disjoint_copies_match():
     model = net.init(net.GnnConfig(hidden=8, layers=2), seed=5)
     out = net.forward(model, doubled)
     assert np.allclose(out[:n], out[n:], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# node-side messages
+
+
+def _with_random_biases(model, seed):
+    """Biases drawn from uniform(-0.1, 0.1) instead of zero, so that every
+    bias takes part; weights keep their initialization, which keeps the
+    outputs away from saturation."""
+    rng = np.random.default_rng(seed)
+    for name, arr in model.params.items():
+        if name.split(".")[-1] in ("b", "b1", "b2"):
+            model.params[name] = rng.uniform(-0.1, 0.1, size=arr.shape)
+    return model
+
+
+def _rel_err(a, ref):
+    a, ref = np.asarray(a), np.asarray(ref)
+    return float(np.max(np.abs(a - ref), initial=0.0) / max(np.max(np.abs(ref), initial=0.0), 1e-300))
+
+
+FAMILY_INSTANCES = (
+    gen_binpack(5, 3, 8, (1, 4), seed=1),
+    gen_item_placement(4, 4, 2, seed=1),
+    gen_smsp(4, 3, 2, seed=1),
+    gen_pesp(4, 6, 5, seed=1),
+    gen_golomb(3, 6, seed=1),
+)
+
+
+@pytest.mark.parametrize("inst", FAMILY_INSTANCES, ids=lambda inst: inst.name)
+def test_messages_match_the_edge_side_reference(inst):
+    # The reference gathers both endpoints per edge, runs the perceptron on
+    # every edge and scatters; the network runs its matmuls on node
+    # embeddings. Only the order of floating-point sums differs.
+    g = encode(inst)
+    model = _with_random_biases(net.init(net.GnnConfig(hidden=16, layers=2), seed=0), seed=1)
+    assert _rel_err(net.forward(model, g), reference_forward_tape(model, g).probs()) <= 1e-12
+    target = np.random.default_rng(2).integers(0, 2, size=inst.num_vars).astype(float)
+    tidx = np.asarray(inst.binary_indices())
+    for loss_kind in (net.BCE, net.SE):
+        loss, grads = net.loss_and_grad(model, g, target, loss_kind, tidx)
+        ref_fwd = reference_forward_tape(model, g)
+        ref_loss, ref_grads = net.loss_and_grad(model, g, target, loss_kind, tidx, ref_fwd)
+        assert _rel_err(loss, ref_loss) <= 1e-12
+        for name in model.params:
+            assert _rel_err(grads[name], ref_grads[name]) <= 1e-12, name
+
+
+def _check_node_grads(make, inputs, seed, h=1e-6):
+    """Every parent's gradient from make(*inputs)'s backward equals central
+    differences of sum(out * r) in each input entry."""
+    leaves = [tape.leaf(x) for x in inputs]
+    out = make(*leaves)
+    r = np.random.default_rng(seed).standard_normal(out.shape)
+    analytic = out.grad_fn(r)
+    assert len(analytic) == len(out.parents) == len(leaves)
+    for pos, x in enumerate(inputs):
+        numeric = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            vals = []
+            for step in (h, -h):
+                bumped = [leaf.data.copy() for leaf in leaves]
+                bumped[pos][i] += step
+                vals.append(np.sum(make(*(tape.leaf(b) for b in bumped)).data * r))
+            numeric[i] = (vals[0] - vals[1]) / (2 * h)
+        assert analytic[pos].shape == x.shape
+        rel = np.abs(analytic[pos] - numeric) / np.maximum(np.abs(analytic[pos]) + np.abs(numeric), 1e-5)
+        assert rel.max() <= 1e-6, pos
+
+
+def test_message_nodes_match_central_differences():
+    g = small_graph()
+    hid = 4
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((g.num_cons, hid))
+    v = rng.standard_normal((g.num_vars, hid))
+    w1 = rng.standard_normal((2 * hid + 1, hid))
+    b1 = rng.standard_normal(hid)
+    _check_node_grads(lambda *p: tape.edge_hidden(*p, g), [c, v, w1, b1], seed=4)
+
+    s = rng.standard_normal((g.num_vars, hid))
+    w2 = rng.standard_normal((hid, hid))
+    b2 = rng.standard_normal(hid)
+    _check_node_grads(lambda *p: tape.summed_linear(*p, g.var_degree), [s, w2, b2], seed=5)
+
+
+def test_isolated_nodes_receive_exactly_zero_messages():
+    # Constraint 2 and variable 3 have no edges.
+    rng = np.random.default_rng(6)
+    g = BipartiteGraph(
+        rng.random((4, VAR_FEATS)),
+        rng.random((3, 4)),
+        np.array([0, 1, 0, 1, 0], dtype=np.intp),
+        np.array([0, 0, 1, 2, 2], dtype=np.intp),
+        rng.uniform(-1, 1, size=5),
+    )
+    assert g.con_degree.tolist() == [3.0, 2.0, 0.0]
+    assert g.var_degree.tolist() == [2.0, 1.0, 2.0, 0.0]
+    model = _with_random_biases(net.init(net.GnnConfig(hidden=4, layers=1), seed=0), seed=7)
+    p = {name: tape.leaf(arr) for name, arr in model.params.items()}
+    c = tape.leaf(rng.standard_normal((3, 4)))
+    v = tape.leaf(rng.standard_normal((4, 4)))
+    agg_c = net._messages(p, "layer0.g_c", c, v, g, (g.edge_con, g.con_incidence, g.con_degree))
+    agg_v = net._messages(p, "layer0.g_v", c, v, g, (g.edge_var, g.var_incidence, g.var_degree))
+    assert np.all(agg_c.data[2] == 0.0) and np.all(agg_v.data[3] == 0.0)
+    assert np.all(agg_c.data[:2] != 0.0) and np.all(agg_v.data[:3] != 0.0)
+
+
+def test_sigmoid_keeps_its_three_exp_values_bit_for_bit():
+    z = np.concatenate([
+        [-50.0, -0.0, 0.0, 50.0, -1e-300, 1e-300, -745.0, 745.0, -1.0, 1.0],
+        np.random.default_rng(8).standard_normal(200) * 20.0,
+    ])
+    three_exp = np.where(
+        z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z)))
+    )
+    assert tape._sigmoid(z).tobytes() == three_exp.tobytes()
 
 
 # ---------------------------------------------------------------------------
