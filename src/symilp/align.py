@@ -4,20 +4,22 @@ Given a prediction matrix Xhat (p x q, entries in (0,1)) and a 0/1 label
 matrix X on the same grid, we look for the group element pi minimizing the
 loss between Xhat and the column-permuted label [X[:,pi(0)], ..., X[:,pi(q-1)]].
 
-For cyclic and dihedral groups the q (resp. 2q) elements are evaluated
-directly. For the symmetric group both supported losses decompose as a sum
-of per-column terms cost(source column a -> target slot b), so the search
-over all q! permutations collapses to a linear assignment problem. Its LP
-relaxation has a totally unimodular constraint matrix, hence an integral
-optimum; we solve it with the Hungarian method, which is exact. A brute
-force path over S_q exists in the test suite as an independent oracle.
+Both supported losses are sums of per-column terms cost(source column a ->
+target slot b), so each group element's loss sums q entries of one column
+cost matrix. Cyclic and dihedral groups score their q (resp. 2q) elements
+on it directly; for the symmetric group the search over q! permutations
+collapses to a linear assignment problem. Its LP relaxation has a totally
+unimodular constraint matrix, hence an integral optimum; we solve it with
+the Hungarian method, which is exact. A brute force path over S_q exists in
+the test suite as an independent oracle.
 
-Ties between equal-cost optima (within a relative 1e-12) are broken toward
-the lexicographically smallest mapping so that repeated runs are
-deterministic. A second assignment solve, with the found matching's edges
-raised by that tolerance, certifies in the common case that no tie exists
-(Burkard, Dell'Amico & Martello, "Assignment Problems", 2009); only when it
-cannot does a slot-by-slot refinement with O(q^2) further solves run.
+In every group, ties between equal-cost optima (within a relative 1e-12)
+go to the lexicographically smallest mapping, so repeated runs are
+deterministic. For the symmetric group a second assignment solve, with the
+found matching's edges raised by that tolerance, certifies in the common
+case that no tie exists (Burkard, Dell'Amico & Martello, "Assignment
+Problems", 2009); only when it cannot does a slot-by-slot refinement with
+O(q^2) further solves run.
 """
 
 from __future__ import annotations
@@ -171,35 +173,35 @@ def _lex_refine(w: np.ndarray, best: float, tol: float) -> tuple[pm.Permutation,
     return pm.Permutation(tuple(mapping)), float(w[mapping, range(q)].sum())
 
 
-def _enumerated_best(problem: AlignmentProblem, elements) -> tuple[pm.Permutation, float]:
-    best_perm_ = None
-    best_loss = np.inf
-    xh = problem.xhat
-    if problem.loss == BCE:
-        xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
-    for p in elements:
-        val = permuted_loss(xh, problem.x, p, problem.loss)
-        if not np.isfinite(val):
-            raise ValueError("alignment loss is non-finite")
-        if val < best_loss or (val == best_loss and p.mapping < best_perm_.mapping):
-            best_perm_, best_loss = p, val
-    return best_perm_, best_loss
+def _enumerated_best(w: np.ndarray, elements) -> pm.Permutation:
+    """The listed element of least cost on the column cost matrix w; among
+    those within the tie tolerance of the least, the lexicographically
+    smallest mapping."""
+    mappings = np.array([p.mapping for p in elements])
+    costs = w[mappings, np.arange(w.shape[1])].sum(axis=1)
+    if not np.all(np.isfinite(costs)):
+        raise ValueError("alignment loss is non-finite")
+    best = costs.min()
+    tied = np.flatnonzero(costs <= best + _TIE_TOL * max(1.0, abs(best)))
+    return min((elements[k] for k in tied), key=lambda p: p.mapping)
 
 
 def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
     """Loss-minimizing group element and its directly evaluated loss.
 
-    Symmetric groups go through the assignment reduction; cyclic and dihedral
-    groups are enumerated exhaustively.
+    Every group is scored on the column cost matrix: symmetric groups go
+    through the assignment reduction, cyclic and dihedral groups are
+    enumerated exhaustively.
     """
     q = problem.x.shape[1]
-    if problem.group_kind == pm.CYCLIC:
-        return _enumerated_best(problem, pm.enumerate_cyclic(q).elements)
-    if problem.group_kind == pm.DIHEDRAL:
-        return _enumerated_best(problem, pm.enumerate_dihedral(q).elements)
     xh = problem.xhat
     if problem.loss == BCE:
         xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
     w = column_loss_matrix(xh, problem.x, problem.loss)
-    p, _ = hungarian(w)
+    if problem.group_kind == pm.CYCLIC:
+        p = _enumerated_best(w, pm.enumerate_cyclic(q).elements)
+    elif problem.group_kind == pm.DIHEDRAL:
+        p = _enumerated_best(w, pm.enumerate_dihedral(q).elements)
+    else:
+        p, _ = hungarian(w)
     return p, permuted_loss(xh, problem.x, p, problem.loss)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape
-from .graph import CON_FEATS, VAR_FEATS, BipartiteGraph, incidence
+from .graph import CON_FEATS, VAR_FEATS, BipartiteGraph
 
 SE = "se"
 BCE = "bce"
@@ -122,7 +122,7 @@ class TapeForward:
 
     def probs(self) -> np.ndarray:
         """Predicted values in (0,1), one per variable node."""
-        return tape.sigmoid(self.logits).data.reshape(-1)
+        return tape._sigmoid(self.logits.data).reshape(-1)
 
 
 def _messages(p, prefix: str, c: tape.Node, v: tape.Node, graph: BipartiteGraph, to) -> tape.Node:
@@ -175,20 +175,16 @@ def loss_and_grad(
     if fwd is None:
         fwd = forward_tape(model, graph)
     logits, p = fwd.logits, fwd.leaves
-    if target_idx is not None:
-        idx = np.asarray(target_idx, dtype=np.intp)
-        logits = tape.gather_rows(logits, idx, incidence(idx, graph.num_vars))
-        t = np.asarray(target, dtype=float)[idx].reshape(-1, 1)
-    else:
-        t = np.asarray(target, dtype=float).reshape(-1, 1)
-    if logits.data.shape != t.shape:
-        raise ValueError(f"target shape {t.shape} incompatible with {logits.data.shape}")
+    rows = slice(None) if target_idx is None else np.asarray(target_idx, dtype=np.intp)
+    t = np.asarray(target, dtype=float)[rows].reshape(-1, 1)
+    if logits.data[rows].shape != t.shape:
+        raise ValueError(f"target shape {t.shape} incompatible with {logits.data[rows].shape}")
     if loss_kind == BCE:
         if np.any((t != 0.0) & (t != 1.0)):
             raise ValueError("BCE target must be binary")
-        loss = tape.bce_with_logits_mean(logits, t)
+        loss = tape.bce_with_logits_mean(logits, rows, t)
     elif loss_kind == SE:
-        loss = tape.se_mean(tape.sigmoid(logits), t)
+        loss = tape.sigmoid_se_mean(logits, rows, t)
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     tape.backward(loss)

@@ -1,15 +1,16 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Covers exactly the operations the message-passing network needs: affine
-maps of constant inputs, two-layer perceptrons as one node, ReLU, sigmoid,
-row gather and scatter-add as products with 0/1 incidence matrices,
-concatenation, and fused mean losses. A message perceptron over the edges
-of a bipartite graph is split in three nodes: `edge_hidden` (its first
-layer and ReLU), `scatter_add_rows` (the sum into receiving nodes) and
-`summed_linear` (its second layer, applied after the sum). Every matmul in
-them runs on node embeddings; only gathers, adds, the ReLU and the scatter
-work per edge. Gradients accumulate in a fixed reverse-topological order,
-so a fixed computation produces bit-identical gradients on every run.
+maps of constant inputs, two-layer perceptrons as one node, ReLU, row
+gather and scatter-add as products with 0/1 incidence matrices,
+concatenation, and mean losses that read their own rows of the logits. A
+message perceptron over the edges of a bipartite graph is split in three
+nodes: `edge_hidden` (its first layer and ReLU), `scatter_add_rows` (the
+sum into receiving nodes) and `summed_linear` (its second layer, applied
+after the sum). Every matmul in them runs on node embeddings; only
+gathers, adds, the ReLU and the scatter work per edge. Gradients
+accumulate in a fixed reverse-topological order, so a fixed computation
+produces bit-identical gradients on every run.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Node) -> Node:
-    out = _sigmoid(a.data)
-    return Node(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def concat_cols(nodes: list[Node]) -> Node:
     datas = [n.data for n in nodes]
     bounds = [0, *itertools.accumulate(d.shape[1] for d in datas)]
@@ -134,24 +130,35 @@ def scatter_add_rows(a: Node, idx: np.ndarray, incidence) -> Node:
     return Node(incidence @ a.data, (a,), lambda g: (g[idx],))
 
 
-def se_mean(pred: Node, target: np.ndarray) -> Node:
-    """Mean squared error over all entries; target is a constant."""
-    diff = pred.data - target
-    count = max(1, diff.size)
-    return Node(
-        np.sum(diff * diff) / count,
-        (pred,),
-        lambda g: (g * 2.0 * diff / count,),
-    )
+def _rows_loss(logits: Node, rows, loss, dz) -> Node:
+    """A scalar loss of logits[rows], with dz(g) its gradient in those rows.
+    rows is distinct indices or a slice, so the gradient is assigned back."""
+
+    def back(g):
+        grad = np.zeros_like(logits.data)
+        grad[rows] = dz(g)
+        return (grad,)
+
+    return Node(loss, (logits,), back)
 
 
-def bce_with_logits_mean(logits: Node, target: np.ndarray) -> Node:
-    """Mean binary cross-entropy computed from logits (softplus form)."""
-    z = logits.data
+def bce_with_logits_mean(logits: Node, rows, target: np.ndarray) -> Node:
+    """Mean binary cross-entropy of logits[rows] against a constant target,
+    computed from the logits (softplus form)."""
+    z = logits.data[rows]
     count = max(1, z.size)
     loss = np.sum(np.logaddexp(0.0, z) - target * z) / count
     sig = _sigmoid(z)
-    return Node(loss, (logits,), lambda g: (g * (sig - target) / count,))
+    return _rows_loss(logits, rows, loss, lambda g: g * (sig - target) / count)
+
+
+def sigmoid_se_mean(logits: Node, rows, target: np.ndarray) -> Node:
+    """Mean squared error of sigmoid(logits[rows]) against a constant target."""
+    out = _sigmoid(logits.data[rows])
+    diff = out - target
+    count = max(1, diff.size)
+    loss = np.sum(diff * diff) / count
+    return _rows_loss(logits, rows, loss, lambda g: g * 2.0 * diff / count * out * (1.0 - out))
 
 
 def backward(root: Node) -> None:

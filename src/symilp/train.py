@@ -16,11 +16,14 @@ Each sample goes through the network once per weight state:
 - a gradient step's tape forward (net.forward_tape) gives the prediction
   that the alignment update reads (symmetry-aware mode, first inner step),
   then the loss against the aligned label and the backward pass;
-- the first step of epoch e+1 runs at the weights epoch e ended with, so
-  its tape forwards also give both risk terms of epoch e for the samples
-  in that batch (r_s reuses the alignment update's permutation);
-- epoch e's risk pass runs net.forward on the remaining training samples
-  and on the validation split. The last epoch's pass covers every sample.
+- when epoch e ends, epoch e+1's order is drawn and its first step runs at
+  once, one tape at a time: its forwards also give epoch e's risk terms for
+  that batch (r_s reuses the alignment's permutation), and only its loss
+  and gradient are kept, for epoch e+1's first Adam update;
+- net.forward scores the other training samples and the validation split,
+  and epoch e's curve row, model selection and checkpoint complete.
+
+Every risk is a mean over samples of one per-sample function, _risk_terms.
 """
 
 from __future__ import annotations
@@ -141,30 +144,25 @@ def load_dataset(data_dir: str):
 # ---------------------------------------------------------------------------
 # Risks
 
-
-def _target_values(sample: LabeledSample, aligned: bool) -> np.ndarray:
-    if not aligned or sample.pi is None or sample.pi.is_identity():
-        return sample.label
-    return permute_values(sample.instance.symmetry, sample.pi, sample.label)
+# _risk_terms's pi for the group element best aligned to the prediction.
+_BEST = "best"
 
 
-def _risk(model, samples, loss: str, aligned: bool) -> float:
-    if not samples:
-        raise ValueError("empty sample set")
-    total = 0.0
-    for s in samples:
-        total += net.sample_loss(model, s.graph, _target_values(s, aligned), loss, s.target_idx)
-    return total / len(samples)
+def _permuted_label(s: LabeledSample, pi) -> np.ndarray:
+    """s's label permuted by pi; None or the identity leaves it as stored."""
+    if pi is None or pi.is_identity():
+        return s.label
+    return permute_values(s.instance.symmetry, pi, s.label)
 
 
 def risk_classic(model: net.GnnModel, samples, loss: str = net.BCE) -> float:
     """Mean loss against the labels exactly as stored."""
-    return _risk(model, samples, loss, aligned=False)
+    return _means([_risk_terms(s, net.forward(model, s.graph), loss, None) for s in samples])[0]
 
 
 def risk_symaware(model: net.GnnModel, samples, loss: str = net.BCE) -> float:
     """Mean loss against the labels permuted by each sample's current state."""
-    return _risk(model, samples, loss, aligned=True)
+    return _means([_risk_terms(s, net.forward(model, s.graph), loss, s.pi) for s in samples])[1]
 
 
 def _alignment(s: LabeledSample, probs: np.ndarray, loss: str) -> align.AlignmentProblem:
@@ -194,20 +192,20 @@ def update_permutations(model: net.GnnModel, samples, loss: str = net.BCE, probs
         s.pi = new_pi
 
 
-def _risk_terms(s: LabeledSample, probs: np.ndarray, loss: str, pi=None) -> tuple[float, float]:
-    """One sample's plain and aligned loss for the prediction `probs`.
+def _risk_terms(s: LabeledSample, probs: np.ndarray, loss: str, pi=_BEST) -> tuple[float, float]:
+    """One sample's plain loss (its label as stored) and aligned loss (its
+    label permuted by pi) for the prediction probs.
 
-    The aligned loss scores the label permuted by pi, or by the group
-    element best aligned to probs when pi is None. A sample without a grid
-    scores its label as stored in both.
+    pi is a group element, None for the identity, or _BEST for the element
+    best aligned to probs. A sample without a grid scores its label as
+    stored in both.
     """
     plain = net.loss_from_probs(probs, s.label, loss, s.target_idx)
     if s.grid is None:
         return plain, plain
-    if pi is None:
+    if pi is _BEST:
         pi, _ = align.best_perm(_alignment(s, probs, loss))
-    target = permute_values(s.instance.symmetry, pi, s.label)
-    return plain, net.loss_from_probs(probs, target, loss, s.target_idx)
+    return plain, net.loss_from_probs(probs, _permuted_label(s, pi), loss, s.target_idx)
 
 
 def _means(terms) -> tuple[float, float]:
@@ -248,7 +246,8 @@ def _batch_grads(model, batch, loss: str, aligned: bool, see_probs=None):
         fwd = net.forward_tape(model, s.graph)
         if see_probs is not None:
             see_probs(k, fwd.probs())
-        value, grads = net.loss_and_grad(model, s.graph, _target_values(s, aligned), loss, s.target_idx, fwd)
+        target = _permuted_label(s, s.pi if aligned else None)
+        value, grads = net.loss_and_grad(model, s.graph, target, loss, s.target_idx, fwd)
         del fwd  # no tape outlives its backward pass
         total += value * scale
         if acc is None:
@@ -257,18 +256,6 @@ def _batch_grads(model, batch, loss: str, aligned: bool, see_probs=None):
             for name, g in grads.items():
                 acc[name] += g * scale
     return total, acc
-
-
-@dataclass
-class _EpochRisks:
-    """One epoch's risks at the weights the epoch ended with: per-sample
-    (plain, aligned) training terms, filled in any order and averaged in
-    sample order, and the validation split's means (None without one)."""
-
-    epoch: int
-    wall_ms: float
-    fit: list
-    val: tuple[float, float] | None
 
 
 def fit(
@@ -285,11 +272,8 @@ def fit(
     for step. A batch loss or selection risk that is not finite raises
     FloatingPointError naming the epoch.
 
-    Forward passes are shared as the module docstring says: epoch e+1's
-    order is drawn before epoch e's risk pass, so that pass can skip the
-    samples of epoch e+1's first batch. Epoch e's curve row, and without a
-    validation split its model selection, are completed by that batch's
-    first step, before its Adam update.
+    Forward passes are shared as the module docstring says; each epoch's
+    curve row, model selection and checkpoint complete when the epoch ends.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -300,6 +284,8 @@ def fit(
     n = len(train_samples)
 
     symaware = cfg.mode == SYMMETRY_AWARE and not cfg.force_identity
+    # Under force_identity the aligned risk scores the labels as stored.
+    risk_pi = None if cfg.force_identity else _BEST
 
     curve: list[EpochStats] = []
     ckpts: list[str] = []
@@ -309,14 +295,47 @@ def fit(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    def terms(s, probs, pi=None):
-        if cfg.force_identity:
-            plain = net.loss_from_probs(probs, s.label, cfg.loss, s.target_idx)
-            return plain, plain
-        return _risk_terms(s, probs, cfg.loss, pi)
+    def step(picked, realign: bool, terms=None):
+        """Mean loss and gradient of the batch train_samples[picked]. With
+        realign, each label is first aligned to its prediction (symmetry-aware
+        mode) and its risk terms go to terms[index], when terms is given."""
+        batch = [train_samples[i] for i in picked]
 
-    def select(epoch: int, r_val: float, rs_val: float) -> None:
-        nonlocal best_val, best_epoch, best_params
+        def see_probs(k, probs):
+            s = batch[k]
+            if symaware:
+                update_permutations(model, [s], cfg.loss, [probs])
+            if terms is not None:
+                terms[picked[k]] = _risk_terms(s, probs, cfg.loss, s.pi if symaware else risk_pi)
+
+        return _batch_grads(model, batch, cfg.loss, symaware, see_probs if realign else None)
+
+    def score(s):
+        return _risk_terms(s, net.forward(model, s.graph), cfg.loss, risk_pi)
+
+    t0 = time.perf_counter()
+    order = rng.permutation(n)
+    head = None  # this epoch's first step, taken when the previous epoch ended
+    for epoch in range(1, cfg.epochs + 1):
+        for start in range(0, n, cfg.batch_size):
+            picked = order[start : start + cfg.batch_size]
+            for inner in range(cfg.inner_steps):
+                total, grads = head if head is not None else step(picked, inner == 0)
+                head = None
+                net.adam_step(model, state, grads)
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"epoch {epoch}: batch loss is not finite")
+
+        # This epoch's risks, at the weights it ended with. The next epoch's
+        # first step scores its own batch; net.forward scores the rest.
+        terms: list = [None] * n
+        if epoch < cfg.epochs:
+            order = rng.permutation(n)
+            head = step(order[: cfg.batch_size], True, terms)
+        r_tr, rs_tr = _means([t if t is not None else score(s) for t, s in zip(terms, train_samples)])
+        r_val, rs_val = _means([score(s) for s in val_samples]) if val_samples else (r_tr, rs_tr)
+        curve.append(EpochStats(epoch, r_tr, rs_tr, r_val, rs_val, (time.perf_counter() - t0) * 1e3))
+
         sel = rs_val if symaware else r_val
         if not np.isfinite(sel):
             raise FloatingPointError(f"epoch {epoch}: selection risk is {sel}")
@@ -328,56 +347,6 @@ def fit(
                 path = os.path.join(out_dir, f"ckpt_ep{epoch:03d}.bin")
                 net.save_checkpoint(model, path)
                 ckpts.append(path)
-
-    def close(risks: _EpochRisks) -> None:
-        r_tr, rs_tr = _means(risks.fit)
-        r_val, rs_val = risks.val or (r_tr, rs_tr)
-        curve.append(EpochStats(risks.epoch, r_tr, rs_tr, r_val, rs_val, risks.wall_ms))
-        if risks.val is None:
-            select(risks.epoch, r_val, rs_val)
-
-    t0 = time.perf_counter()
-    order = rng.permutation(n)
-    # The previous epoch's risks, while this epoch's first step owes terms.
-    pending: _EpochRisks | None = None
-    for epoch in range(1, cfg.epochs + 1):
-        for start in range(0, n, cfg.batch_size):
-            picked = order[start : start + cfg.batch_size]
-            batch = [train_samples[i] for i in picked]
-            scoring = pending if start == 0 else None
-
-            def see_probs(k, probs):
-                s = batch[k]
-                if symaware:
-                    update_permutations(model, [s], cfg.loss, [probs])
-                if scoring is not None:
-                    scoring.fit[picked[k]] = terms(s, probs, s.pi if symaware else None)
-
-            for inner in range(cfg.inner_steps):
-                total, grads = _batch_grads(model, batch, cfg.loss, symaware, see_probs if inner == 0 else None)
-                if inner == 0 and scoring is not None:
-                    close(scoring)
-                    pending = None
-                net.adam_step(model, state, grads)
-                if not np.isfinite(total):
-                    raise FloatingPointError(f"epoch {epoch}: batch loss is not finite")
-
-        owed = set()
-        if epoch < cfg.epochs:
-            order = rng.permutation(n)
-            owed = set(order[: cfg.batch_size].tolist())
-        fit_terms = [
-            None if i in owed else terms(s, net.forward(model, s.graph))
-            for i, s in enumerate(train_samples)
-        ]
-        val = _means([terms(s, net.forward(model, s.graph)) for s in val_samples]) if val_samples else None
-        risks = _EpochRisks(epoch, (time.perf_counter() - t0) * 1e3, fit_terms, val)
-        if val is not None:
-            select(epoch, *val)
-        if owed:
-            pending = risks
-        else:
-            close(risks)
 
     if best_params is not None:
         model.params = best_params

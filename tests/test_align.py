@@ -190,6 +190,21 @@ def test_best_perm_rejects_non_finite_prediction(kind):
             align.best_perm(_problem(xhat, np.zeros((2, 4)), loss, kind))
 
 
+@pytest.mark.parametrize("kind, beyond", [(pm.CYCLIC, (1, 2, 3, 0)), (pm.DIHEDRAL, (1, 0, 3, 2))])
+def test_enumerated_groups_share_the_tie_rule(kind, beyond):
+    # The rotation (1, 2, 3, 0) costs 2e-14 less than the identity, inside
+    # the relative 1e-12 tie tolerance: the lex-smallest mapping wins, as
+    # for the symmetric group. A 2e-10 gap is beyond it, and of the group's
+    # elements that reach the optimum the lex-smallest wins: a rotation in
+    # the cyclic group, a reflection in the dihedral one.
+    x = [[1.0, 0.0, 1.0, 0.0]]
+    p, loss = align.best_perm(_problem([[0.5, 0.5, 0.5, 0.5 + 1e-14]], x, align.SE, kind))
+    assert p == pm.identity(4)
+    assert loss == align.permuted_loss(np.array([[0.5, 0.5, 0.5, 0.5 + 1e-14]]), np.array(x), p, align.SE)
+    p, _ = align.best_perm(_problem([[0.5, 0.5, 0.5, 0.5 + 1e-10]], x, align.SE, kind))
+    assert p.mapping == beyond
+
+
 def test_best_perm_validates_problem():
     with pytest.raises(ValueError):
         _problem(np.zeros((2, 2)), np.zeros((2, 3)), align.SE, pm.CYCLIC)

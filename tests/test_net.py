@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import reference_forward_tape
-from symilp import net, tape
+from symilp import graph, net, tape
 from symilp.bench import binpack_instance, gen_binpack, gen_golomb, gen_item_placement, gen_pesp, gen_smsp
 from symilp.graph import VAR_FEATS, BipartiteGraph, encode, incidence
 from symilp.instance import IlpInstance, Variable
@@ -310,6 +310,52 @@ def test_zero_edge_graph_message_grads_are_zero():
     for name, grad in grads.items():
         if ".g_c." in name or ".g_v." in name:
             assert np.all(grad == 0.0), name
+
+
+def test_loss_and_grad_builds_no_sparse_matrix(monkeypatch):
+    # The loss node reads its rows of the logits by index, so a call with
+    # target_idx builds no incidence matrix.
+    inst = binpack_instance([1, 2, 3], 3, 3)
+    g = encode(inst)
+    model = net.init(net.GnnConfig(hidden=4, layers=1), seed=2)
+    target = np.zeros(inst.num_vars)
+    tidx = np.asarray(inst.binary_indices())
+    built = []
+    real_csr_array = graph.csr_array
+
+    def counting_csr_array(*args, **kwargs):
+        built.append(args)
+        return real_csr_array(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "csr_array", counting_csr_array)
+    net.loss_and_grad(model, g, target, net.BCE, tidx)
+    assert len(built) == 0
+
+
+@pytest.mark.parametrize("rows", [np.array([3, 0, 5]), slice(None)])
+def test_loss_nodes_match_closed_forms(rows):
+    # Loss and logit gradient of both fused loss nodes against their closed
+    # forms; rows the loss does not read get an exact zero gradient.
+    rng = np.random.default_rng(3)
+    z = rng.normal(0.0, 2.0, size=(7, 1))
+    t = rng.integers(0, 2, size=(7, 1)).astype(float)[rows]
+    zr = z[rows]
+    s = 1.0 / (1.0 + np.exp(-zr))
+    forms = {
+        tape.bce_with_logits_mean: (-np.mean(t * np.log(s) + (1 - t) * np.log(1 - s)), (s - t) / t.size),
+        tape.sigmoid_se_mean: (np.mean((s - t) ** 2), 2.0 * (s - t) * s * (1 - s) / t.size),
+    }
+    for node_fn, (loss, dz) in forms.items():
+        logits = tape.leaf(z)
+        node = node_fn(logits, rows, t)
+        tape.backward(node)
+        expected = np.zeros_like(z)
+        expected[rows] = dz
+        assert float(node.data) == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(logits.grad, expected, rtol=1e-12, atol=1e-15)
+        outside = np.ones(z.shape[0], dtype=bool)
+        outside[rows] = False
+        assert np.all(logits.grad[outside] == 0.0)
 
 
 def test_bce_rejects_non_binary_target():

@@ -219,9 +219,9 @@ def fit_data():
     return small_dataset(4) + [trivial], small_dataset(2, seed=1)
 
 
-def fit_config(mode, force_identity, batch_size, inner_steps, epochs=3):
+def fit_config(mode, force_identity, batch_size, inner_steps, epochs=3, loss="bce"):
     return train.TrainConfig(
-        epochs=epochs, mode=mode, batch_size=batch_size, inner_steps=inner_steps, lr=5e-3,
+        epochs=epochs, mode=mode, loss=loss, batch_size=batch_size, inner_steps=inner_steps, lr=5e-3,
         seed=0, hidden=6, layers=1, force_identity=force_identity,
     )
 
@@ -288,20 +288,21 @@ def fit_outputs(result, out_dir):
 def test_fit_reproduces_the_reference_loop(tmp_path, mode, force_identity):
     # fit shares forward passes between the alignment, the gradient step and
     # the epoch's risks; the plain loop in tests/_reference.py shares none.
-    # Curves, selection, parameters, permutations and files agree bit for bit.
+    # Curves, selection, parameters, permutations and files agree bit for
+    # bit, under both losses.
     fit_samples, val_all = fit_data()
-    for batch_size, inner_steps, with_val in FIT_SHAPES:
+    for loss, (batch_size, inner_steps, with_val) in itertools.product(("bce", "se"), FIT_SHAPES):
         val_samples = val_all if with_val else []
-        cfg = fit_config(mode, force_identity, batch_size, inner_steps, epochs=4)
+        cfg = fit_config(mode, force_identity, batch_size, inner_steps, epochs=4, loss=loss)
         runs = []
         for tag, run in (("fit", train.fit), ("reference", reference_fit)):
             for s in fit_samples + val_samples:
                 s.pi = None
-            out_dir = tmp_path / f"{tag}-{batch_size}-{inner_steps}-{with_val}"
+            out_dir = tmp_path / f"{tag}-{loss}-{batch_size}-{inner_steps}-{with_val}"
             result = run(fit_samples, cfg, val_samples, out_dir=str(out_dir))
             pis = [None if s.pi is None else s.pi.mapping for s in fit_samples]
             runs.append((fit_outputs(result, out_dir), pis))
-        assert runs[0] == runs[1], (batch_size, inner_steps, with_val)
+        assert runs[0] == runs[1], (loss, batch_size, inner_steps, with_val)
 
 
 def test_fit_raises_on_non_finite_batch_loss():
