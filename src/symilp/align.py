@@ -7,11 +7,12 @@ loss between Xhat and the column-permuted label [X[:,pi(0)], ..., X[:,pi(q-1)]].
 Both supported losses are sums of per-column terms cost(source column a ->
 target slot b), so each group element's loss sums q entries of one column
 cost matrix. Cyclic and dihedral groups score their q (resp. 2q) elements
-on it directly; for the symmetric group the search over q! permutations
-collapses to a linear assignment problem. Its LP relaxation has a totally
-unimodular constraint matrix, hence an integral optimum; we solve it with
-the Hungarian method, which is exact. A brute force path over S_q exists in
-the test suite as an independent oracle.
+on it directly, from a table of mappings built once per degree; for the
+symmetric group the search over q! permutations collapses to a linear
+assignment problem. Its LP relaxation has a totally unimodular constraint
+matrix, hence an integral optimum; we solve it with the Hungarian method,
+which is exact. A brute force path over S_q exists in the test suite as an
+independent oracle.
 
 In every group, ties between equal-cost optima (within a relative 1e-12)
 go to the lexicographically smallest mapping, so repeated runs are
@@ -25,6 +26,7 @@ O(q^2) further solves run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -173,17 +175,26 @@ def _lex_refine(w: np.ndarray, best: float, tol: float) -> tuple[pm.Permutation,
     return pm.Permutation(tuple(mapping)), float(w[mapping, range(q)].sum())
 
 
-def _enumerated_best(w: np.ndarray, elements) -> pm.Permutation:
-    """The listed element of least cost on the column cost matrix w; among
-    those within the tie tolerance of the least, the lexicographically
-    smallest mapping."""
-    mappings = np.array([p.mapping for p in elements])
-    costs = w[mappings, np.arange(w.shape[1])].sum(axis=1)
+@cache
+def _group_table(kind: str, q: int) -> np.ndarray:
+    """The cyclic or dihedral group's element mappings, one per row in
+    lexicographic order; built once per (kind, q) and read-only."""
+    group = pm.enumerate_cyclic(q) if kind == pm.CYCLIC else pm.enumerate_dihedral(q)
+    table = np.array(sorted(p.mapping for p in group.elements), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def _enumerated_best(w: np.ndarray, table: np.ndarray) -> pm.Permutation:
+    """The table row of least cost on the column cost matrix w; among those
+    within the tie tolerance of the least, the first, which is the
+    lexicographically smallest mapping."""
+    costs = w[table, np.arange(w.shape[1])].sum(axis=1)
     if not np.all(np.isfinite(costs)):
         raise ValueError("alignment loss is non-finite")
     best = costs.min()
     tied = np.flatnonzero(costs <= best + _TIE_TOL * max(1.0, abs(best)))
-    return min((elements[k] for k in tied), key=lambda p: p.mapping)
+    return pm.Permutation(tuple(table[tied[0]].tolist()))
 
 
 def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
@@ -198,10 +209,8 @@ def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
     if problem.loss == BCE:
         xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
     w = column_loss_matrix(xh, problem.x, problem.loss)
-    if problem.group_kind == pm.CYCLIC:
-        p = _enumerated_best(w, pm.enumerate_cyclic(q).elements)
-    elif problem.group_kind == pm.DIHEDRAL:
-        p = _enumerated_best(w, pm.enumerate_dihedral(q).elements)
-    else:
+    if problem.group_kind == pm.SYMMETRIC:
         p, _ = hungarian(w)
+    else:
+        p = _enumerated_best(w, _group_table(problem.group_kind, q))
     return p, permuted_loss(xh, problem.x, p, problem.loss)

@@ -31,7 +31,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -595,11 +595,7 @@ def build_dataset(
     val_names = train_names[len(train_names) - n_val :]
 
     manifest = {
-        "family": spec.family,
-        "count": spec.count,
-        "seed": spec.seed,
-        "params": spec.params,
-        "perturb": spec.perturb,
+        **asdict(spec),
         "train": train_names,
         "val": val_names,
         "test": test_names,

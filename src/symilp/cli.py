@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,18 +86,7 @@ def cmd_gen(args) -> int:
     for inst in instances:
         bench.write_json(inst, os.path.join(out, "instances", inst.name + ".json"))
     with open(os.path.join(out, "spec.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "family": spec.family,
-                "count": spec.count,
-                "seed": spec.seed,
-                "params": spec.params,
-                "perturb": spec.perturb,
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
+        json.dump(asdict(spec), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(instances)} instances to {out}")
     return EXIT_OK
@@ -180,22 +170,14 @@ def cmd_downstream(args) -> int:
         else:
             res = evalx.local_branching(s.instance, pred, args.beta, limits)
         best_obj = s.instance.objective_value(s.label)
+        objective = gap = ""
         if res.solution is None:
             exhausted = exhausted or res.status == LIMIT_REACHED
-            rows.append([s.name, args.task, param, "", repr(best_obj), "", res.status, f"{res.wall_ms:.1f}"])
-            continue
-        gap = evalx.primal_gap(res.solution.objective, best_obj)
+        else:
+            objective = repr(res.solution.objective)
+            gap = repr(evalx.primal_gap(res.solution.objective, best_obj))
         rows.append(
-            [
-                s.name,
-                args.task,
-                param,
-                repr(res.solution.objective),
-                repr(best_obj),
-                repr(gap),
-                res.status,
-                f"{res.wall_ms:.1f}",
-            ]
+            [s.name, args.task, param, objective, repr(best_obj), gap, res.status, f"{res.wall_ms:.1f}"]
         )
     path = os.path.join(out, f"downstream_{args.task}.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import align
 from .instance import LE, IlpInstance, binary_grid, make_constraint, permute_values
-from .oracle import INFEASIBLE, SolveLimits, SolveResult, solve_bb
+from .oracle import ABS_GAP, INFEASIBLE, SolveLimits, SolveResult, solve_bb
 
 DEFAULT_M_LIST = (10, 30, 50, 70, 90)
 GAP_EPS = 1e-10
@@ -89,12 +89,13 @@ def primal_gap(obj: float, best_obj: float) -> float:
 
     The denominator is |best_obj| + GAP_EPS, so a zero best objective stays
     finite. Objectives that agree within the solver's tie tolerance
-    (SolveLimits.abs_gap) are the same optimum reached through different
-    float round-off, so their gap is exactly 0.0 rather than noise that a
-    later ratio (see gain) would amplify.
+    (oracle.ABS_GAP, the gap below which branch and bound treats two
+    objectives as one optimum) are the same optimum reached through
+    different float round-off, so their gap is exactly 0.0 rather than
+    noise that a later ratio (see gain) would amplify.
     """
     diff = abs(obj - best_obj)
-    if diff <= SolveLimits.abs_gap:
+    if diff <= ABS_GAP:
         return 0.0
     return diff / (abs(best_obj) + GAP_EPS)
 
@@ -202,7 +203,7 @@ def write_metrics_csv(path: str, records, m_list=DEFAULT_M_LIST) -> None:
             writer.writerow(row)
 
 
-def write_summary_json(path: str, records, m_list=DEFAULT_M_LIST, extra=None) -> dict:
+def write_summary_json(path: str, records, m_list=DEFAULT_M_LIST) -> dict:
     summary = {"count": len(records)}
     for m in m_list:
         vals = np.asarray([r.top_m[int(m)] for r in records])
@@ -212,8 +213,6 @@ def write_summary_json(path: str, records, m_list=DEFAULT_M_LIST, extra=None) ->
     if gaps:
         summary["gap_mean"] = float(np.mean(gaps))
         summary["gap_std"] = float(np.std(gaps))
-    if extra:
-        summary.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -43,8 +43,6 @@ CHECKPOINT_VERSION = 1
 class GnnConfig:
     hidden: int = 64
     layers: int = 2
-    var_feats: int = VAR_FEATS
-    con_feats: int = CON_FEATS
 
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
@@ -67,9 +65,9 @@ def _mlp_shapes(d_in: int, d_hidden: int, d_out: int):
 def _param_layout(cfg: GnnConfig) -> list[tuple[str, tuple]]:
     h = cfg.hidden
     layout: list[tuple[str, tuple]] = [
-        ("emb_v.W", (cfg.var_feats, h)),
+        ("emb_v.W", (VAR_FEATS, h)),
         ("emb_v.b", (h,)),
-        ("emb_c.W", (cfg.con_feats, h)),
+        ("emb_c.W", (CON_FEATS, h)),
         ("emb_c.b", (h,)),
     ]
     for l in range(cfg.layers):
@@ -233,15 +231,16 @@ def loss_from_probs(
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam (Kingma & Ba's default moments and epsilon)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -257,11 +256,11 @@ def adam_step(model: GnnModel, state: AdamState, grads: dict[str, np.ndarray]) -
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m.setdefault(name, np.zeros_like(param))
         v = state.v.setdefault(name, np.zeros_like(param))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model
 
 
@@ -289,8 +288,8 @@ def save_checkpoint(model: GnnModel, path: str) -> None:
         "config": {
             "hidden": model.cfg.hidden,
             "layers": model.cfg.layers,
-            "var_feats": model.cfg.var_feats,
-            "con_feats": model.cfg.con_feats,
+            "var_feats": VAR_FEATS,
+            "con_feats": CON_FEATS,
         },
         "params": [[name, list(model.params[name].shape)] for name in model.param_names()],
     }
@@ -323,7 +322,7 @@ def load_checkpoint(path: str) -> GnnModel:
                 f"checkpoint was trained on {stored} {key} per node but the graph "
                 f"encoding now produces {current}; retrain the model"
             )
-    cfg = GnnConfig(**header["config"])
+    cfg = GnnConfig(header["config"]["hidden"], header["config"]["layers"])
     model = init(cfg, seed=0)
     expected = [[name, list(model.params[name].shape)] for name in model.param_names()]
     if expected != header["params"]:

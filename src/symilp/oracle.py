@@ -32,6 +32,9 @@ LIMIT_REACHED = "limit_reached"
 
 INT_TOL = 1e-6
 LP_TOL = 1e-8
+# Objectives within ABS_GAP of each other count as one optimum: B&B prunes
+# a node whose bound comes within it of the incumbent and pools such ties.
+ABS_GAP = 1e-9
 
 BRUTE_FORCE_CAP = 2 ** 24
 
@@ -40,7 +43,6 @@ BRUTE_FORCE_CAP = 2 ** 24
 class SolveLimits:
     time_limit_ms: float = 60_000.0
     node_limit: int = 200_000
-    abs_gap: float = 1e-9
 
     def __post_init__(self):
         if self.time_limit_ms <= 0 or self.node_limit <= 0:
@@ -243,12 +245,12 @@ def _linprog(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     return LpResult("error", -np.inf, None)
 
 
-def lp_relax(instance: IlpInstance, extra_constraints=()) -> LpResult:
+def lp_relax(instance: IlpInstance) -> LpResult:
     """Continuous relaxation; the value is a valid lower bound for minimization.
 
     It calls linprog directly, independent of the solver's HiGHS model.
     """
-    sys_ = _DenseSystem.build(instance, extra_constraints)
+    sys_ = _DenseSystem.build(instance)
     return _linprog(sys_, sys_.lb, sys_.ub)
 
 
@@ -427,7 +429,7 @@ def solve_bb(
             limit_hit = True
             break
         lb, ub, parent_bound = stack.pop()
-        if incumbent is not None and parent_bound >= incumbent_obj - limits.abs_gap:
+        if incumbent is not None and parent_bound >= incumbent_obj - ABS_GAP:
             continue
         nodes += 1
         res = _solve_lp(sys_, lb, ub)
@@ -462,7 +464,7 @@ def solve_bb(
             # exceed the optimum when its subtree excludes the optimum.
             known = [bound, incumbent_obj] + [entry[2] for entry in stack]
             _check_sandwich(min(known), incumbent_obj, debug_optimum)
-        if incumbent is not None and bound >= incumbent_obj - limits.abs_gap:
+        if incumbent is not None and bound >= incumbent_obj - ABS_GAP:
             continue
         x = res.x
         frac = np.abs(x - np.round(x))
@@ -476,10 +478,10 @@ def solve_bb(
             in_bounds = np.all(cand >= sys_.lb - FEAS_TOL) and np.all(cand <= sys_.ub + FEAS_TOL)
             if in_bounds and not sys_.rows_failing(act, act).size:
                 obj = float(np.dot(sys_.c, cand))
-                if obj < incumbent_obj - limits.abs_gap:
+                if obj < incumbent_obj - ABS_GAP:
                     incumbent_obj, incumbent = obj, cand
                     tie_pool = [cand]
-                elif abs(obj - incumbent_obj) <= limits.abs_gap:
+                elif abs(obj - incumbent_obj) <= ABS_GAP:
                     tie_pool.append(cand)
             continue
         f = x[v]

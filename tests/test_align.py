@@ -205,6 +205,38 @@ def test_enumerated_groups_share_the_tie_rule(kind, beyond):
     assert p.mapping == beyond
 
 
+def test_enumerated_groups_are_built_once_per_degree(monkeypatch):
+    # Each (kind, q) group is enumerated on its first alignment only; later
+    # calls read the same table and still return Python-int mappings.
+    calls = []
+
+    def counted(name):
+        real = getattr(pm, name)
+
+        def enumerate_(q):
+            calls.append((name, q))
+            return real(q)
+
+        return enumerate_
+
+    for name in ("enumerate_cyclic", "enumerate_dihedral"):
+        monkeypatch.setattr(pm, name, counted(name))
+    align._group_table.cache_clear()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        for kind in (pm.CYCLIC, pm.DIHEDRAL):
+            for q in (4, 5):
+                x = rng.integers(0, 2, size=(3, q)).astype(float)
+                p, _ = align.best_perm(_problem(rng.random((3, q)), x, align.SE, kind))
+                assert all(type(m) is int for m in p.mapping)
+    assert sorted(calls) == [
+        ("enumerate_cyclic", 4),
+        ("enumerate_cyclic", 5),
+        ("enumerate_dihedral", 4),
+        ("enumerate_dihedral", 5),
+    ]
+
+
 def test_best_perm_validates_problem():
     with pytest.raises(ValueError):
         _problem(np.zeros((2, 2)), np.zeros((2, 3)), align.SE, pm.CYCLIC)

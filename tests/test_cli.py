@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_gen_writes_instances_and_spec(pipeline_dir):
 
 
 def test_solve_writes_labels_and_manifest(pipeline_dir):
-    manifest = json.load(open(os.path.join(pipeline_dir, "manifest.json")))
+    manifest = json.loads(Path(pipeline_dir, "manifest.json").read_text())
     assert len(manifest["train"]) == 8
     assert len(manifest["test"]) == 2
     labels = os.listdir(os.path.join(pipeline_dir, "labels"))
@@ -99,7 +100,7 @@ def test_eval_writes_metrics(pipeline_dir):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2  # test split
     assert set(rows[0].keys()) == {"instance", "top10", "top50", "top90", "gap", "wall_ms"}
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert "top50_mean" in summary
 
 
@@ -143,7 +144,7 @@ def test_downstream_and_report(pipeline_dir):
         )
         == 0
     )
-    report = json.load(open(os.path.join(report_out, "report.json")))
+    report = json.loads(Path(report_out, "report.json").read_text())
     assert {"task", "gap_classic", "gap_symaware", "gain"} <= set(report)
 
 
@@ -170,10 +171,7 @@ def test_pipeline_determinism(tmp_path):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     build(d1)
     build(d2)
-    assert (
-        open(os.path.join(d1, "manifest.json")).read()
-        == open(os.path.join(d2, "manifest.json")).read()
-    )
+    assert Path(d1, "manifest.json").read_text() == Path(d2, "manifest.json").read_text()
 
     def curve_without_wall(path):
         with open(path) as fh:
@@ -183,9 +181,7 @@ def test_pipeline_determinism(tmp_path):
     assert curve_without_wall(os.path.join(d1, "run", "curve.csv")) == curve_without_wall(
         os.path.join(d2, "run", "curve.csv")
     )
-    ck1 = open(os.path.join(d1, "run", "best.ckpt"), "rb").read()
-    ck2 = open(os.path.join(d2, "run", "best.ckpt"), "rb").read()
-    assert ck1 == ck2
+    assert Path(d1, "run", "best.ckpt").read_bytes() == Path(d2, "run", "best.ckpt").read_bytes()
 
 
 def test_env_var_default_dataset(tmp_path, monkeypatch):

@@ -156,12 +156,12 @@ def test_primal_gap_zero_best_guarded():
 
 def test_primal_gap_zero_within_solver_tolerance():
     # The same optimum reached along two LP paths: 0.1 + 0.2 != 0.3 in
-    # binary floating point, but both are within SolveLimits.abs_gap.
+    # binary floating point, but both are within oracle.ABS_GAP.
     assert 0.1 + 0.2 != 0.3
     assert evalx.primal_gap(0.1 + 0.2, 0.3) == 0.0
     assert evalx.primal_gap(-7.0 + 1e-15, -7.0) == 0.0
     # Just past the tolerance the relative gap is reported again.
-    tol = oracle.SolveLimits.abs_gap
+    tol = oracle.ABS_GAP
     assert evalx.primal_gap(1.0 + 2 * tol, 1.0) > 0.0
 
 

@@ -385,7 +385,7 @@ def test_adam_first_step_closed_form():
     state = net.AdamState(lr=0.01)
     net.adam_step(model, state, grads)
     for k, g in grads.items():
-        expected = before[k] - state.lr * g / (np.abs(g) + state.eps)
+        expected = before[k] - state.lr * g / (np.abs(g) + net.ADAM_EPS)
         assert np.allclose(model.params[k], expected, atol=1e-12)
 
 
@@ -428,12 +428,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
         net.load_checkpoint(str(path))
 
 
-def test_checkpoint_rejects_other_feature_width(tmp_path):
+def test_checkpoint_rejects_other_feature_width(tmp_path, monkeypatch):
     # A model saved under an older encoding would otherwise load and then
     # fail inside the first matmul.
-    old = net.init(net.GnnConfig(hidden=6, layers=1, var_feats=VAR_FEATS - 1), seed=0)
     path = str(tmp_path / "old.ckpt")
-    net.save_checkpoint(old, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(net, "VAR_FEATS", VAR_FEATS - 1)
+        net.save_checkpoint(net.init(net.GnnConfig(hidden=6, layers=1), seed=0), path)
     with pytest.raises(ValueError, match="var_feats"):
         net.load_checkpoint(path)
 
