@@ -185,24 +185,26 @@ def _group_table(kind: str, q: int) -> np.ndarray:
     return table
 
 
-def _enumerated_best(w: np.ndarray, table: np.ndarray) -> pm.Permutation:
-    """The table row of least cost on the column cost matrix w; among those
-    within the tie tolerance of the least, the first, which is the
-    lexicographically smallest mapping."""
+def _enumerated_best(w: np.ndarray, table: np.ndarray) -> tuple[pm.Permutation, float]:
+    """The table row of least cost on the column cost matrix w, and its
+    cost; among rows within the tie tolerance of the least, the first,
+    which is the lexicographically smallest mapping."""
     costs = w[table, np.arange(w.shape[1])].sum(axis=1)
     if not np.all(np.isfinite(costs)):
         raise ValueError("alignment loss is non-finite")
     best = costs.min()
     tied = np.flatnonzero(costs <= best + _TIE_TOL * max(1.0, abs(best)))
-    return pm.Permutation(tuple(table[tied[0]].tolist()))
+    return pm.Permutation(tuple(table[tied[0]].tolist())), float(costs[tied[0]])
 
 
 def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
-    """Loss-minimizing group element and its directly evaluated loss.
+    """Loss-minimizing group element and its loss.
 
     Every group is scored on the column cost matrix: symmetric groups go
     through the assignment reduction, cyclic and dihedral groups are
-    enumerated exhaustively.
+    enumerated exhaustively. The loss is read off that matrix (the chosen
+    element's q entries, summed), so it agrees with permuted_loss up to
+    rounding.
     """
     q = problem.x.shape[1]
     xh = problem.xhat
@@ -210,7 +212,5 @@ def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
         xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
     w = column_loss_matrix(xh, problem.x, problem.loss)
     if problem.group_kind == pm.SYMMETRIC:
-        p, _ = hungarian(w)
-    else:
-        p = _enumerated_best(w, _group_table(problem.group_kind, q))
-    return p, permuted_loss(xh, problem.x, p, problem.loss)
+        return hungarian(w)
+    return _enumerated_best(w, _group_table(problem.group_kind, q))

@@ -111,7 +111,8 @@ def encode(instance: IlpInstance) -> BipartiteGraph:
     for j, con in enumerate(instance.constraints):
         con_feats[j, 0] = con.rhs / rhs_scale
         con_feats[j, _SENSE_SLOT[con.sense]] = 1.0
-        row_scale = max((abs(v) for _, v in con.coeffs), default=1.0)
+        # An empty or all-zero row keeps scale 1.0: its edges weigh 0.0.
+        row_scale = max((abs(v) for _, v in con.coeffs), default=0.0) or 1.0
         for idx, val in con.coeffs:
             edge_con.append(j)
             edge_var.append(idx)

@@ -307,10 +307,10 @@ def save_checkpoint(model: GnnModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> GnnModel:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version, blob_len = struct.unpack("<II", fh.read(8))
+        head = fh.read(12)  # magic, version, header length
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint file: bad or short header {head!r}")
+        version, blob_len = struct.unpack("<II", head[4:])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(blob_len).decode("utf-8"))

@@ -390,18 +390,15 @@ def solve_bb(
     limits: SolveLimits = SolveLimits(),
     fixed: dict[int, float] | None = None,
     extra_constraints=(),
-    debug_optimum: float | None = None,
 ) -> SolveResult:
     """Depth-first branch and bound with LP bounds.
 
     Branching picks the integral variable whose LP value is farthest from an
     integer (ties to the lowest index); the floor child is explored first.
     `fixed` pre-pins variables (partial assignments from repair heuristics),
-    `extra_constraints` appends rows such as a Hamming-ball cut. When
-    `debug_optimum` is given, the bound sandwich
-    min(open node bounds) <= optimum <= incumbent is checked at every node.
-    The status is UNBOUNDED when a node whose integral variables are all
-    fixed has an unbounded LP.
+    `extra_constraints` appends rows such as a Hamming-ball cut. The status
+    is UNBOUNDED when a node whose integral variables are all fixed has an
+    unbounded LP.
     """
     sys_ = _DenseSystem.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -457,13 +454,6 @@ def solve_bb(
                 stack.append((new_lb, new_ub, bound))
             continue
         bound = res.value
-        if debug_optimum is not None:
-            # Sandwich: until the optimum is an incumbent, some open subtree
-            # contains it, so the weakest known bound stays below it; and
-            # every incumbent stays above it. A single node's bound may
-            # exceed the optimum when its subtree excludes the optimum.
-            known = [bound, incumbent_obj] + [entry[2] for entry in stack]
-            _check_sandwich(min(known), incumbent_obj, debug_optimum)
         if incumbent is not None and bound >= incumbent_obj - ABS_GAP:
             continue
         x = res.x
@@ -497,8 +487,6 @@ def solve_bb(
     if incumbent is not None and tie_pool:
         incumbent = min(tie_pool, key=lambda v: tuple(v.tolist()))
         incumbent_obj = float(np.dot(sys_.c, incumbent))
-    if debug_optimum is not None:
-        _check_sandwich(-np.inf, incumbent_obj, debug_optimum)
 
     if unbounded:
         return SolveResult(UNBOUNDED, None, -np.inf, nodes, wall, sys_.lp_ms)
@@ -515,13 +503,6 @@ def solve_bb(
         return SolveResult(INFEASIBLE, None, np.inf, nodes, wall, sys_.lp_ms)
     sol = Solution(tuple(incumbent.tolist()), incumbent_obj)
     return SolveResult(OPTIMAL, sol, incumbent_obj, nodes, wall, sys_.lp_ms)
-
-
-def _check_sandwich(weakest_bound: float, incumbent_obj: float, optimum: float) -> None:
-    if incumbent_obj < optimum - 1e-6:
-        raise RuntimeError(f"incumbent {incumbent_obj} is below the known optimum {optimum}")
-    if weakest_bound > optimum + 1e-6:
-        raise RuntimeError(f"bound {weakest_bound} exceeds known optimum {optimum}")
 
 
 def _with(arr: np.ndarray, idx: int, val: float) -> np.ndarray:

@@ -129,15 +129,3 @@ def enumerate_symmetric(q: int) -> GroupElements:
         )
     elements = tuple(Permutation(p) for p in _all_permutations(range(q)))
     return GroupElements(SYMMETRIC, q, elements)
-
-
-def group_order(kind: str, q: int) -> int:
-    if kind == CYCLIC:
-        return q
-    if kind == DIHEDRAL:
-        return 2 * q if q >= 3 else q
-    if kind == SYMMETRIC:
-        import math
-
-        return math.factorial(q)
-    raise ValueError(f"unknown group kind {kind!r}")

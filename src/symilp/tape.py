@@ -117,12 +117,6 @@ def concat_cols(nodes: list[Node]) -> Node:
     return Node(np.concatenate(datas, axis=1), tuple(nodes), back)
 
 
-def gather_rows(a: Node, idx: np.ndarray, incidence) -> Node:
-    """out[e] = a[idx[e]]; incidence is graph.incidence(idx, a's row count)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    return Node(a.data[idx], (a,), lambda g: (incidence @ g,))
-
-
 def scatter_add_rows(a: Node, idx: np.ndarray, incidence) -> Node:
     """out[r] = sum of a's rows e with idx[e] == r, in order of e; empty rows
     are zero. incidence is graph.incidence(idx, number of output rows)."""

@@ -233,31 +233,6 @@ def aligned_risk(model: net.GnnModel, samples, loss: str = net.BCE) -> tuple[flo
 # Fitting
 
 
-def _batch_grads(model, batch, loss: str, aligned: bool, see_probs=None):
-    """The batch's mean loss and mean gradient, one forward pass per sample.
-
-    see_probs(k, probs), when given, receives the prediction of batch[k]
-    before its loss is taken, so it may realign the label the loss scores.
-    """
-    scale = 1.0 / len(batch)
-    acc: dict[str, np.ndarray] | None = None
-    total = 0.0
-    for k, s in enumerate(batch):
-        fwd = net.forward_tape(model, s.graph)
-        if see_probs is not None:
-            see_probs(k, fwd.probs())
-        target = _permuted_label(s, s.pi if aligned else None)
-        value, grads = net.loss_and_grad(model, s.graph, target, loss, s.target_idx, fwd)
-        del fwd  # no tape outlives its backward pass
-        total += value * scale
-        if acc is None:
-            acc = {name: g * scale for name, g in grads.items()}
-        else:
-            for name, g in grads.items():
-                acc[name] += g * scale
-    return total, acc
-
-
 def fit(
     train_samples,
     cfg: TrainConfig,
@@ -296,19 +271,32 @@ def fit(
         os.makedirs(out_dir, exist_ok=True)
 
     def step(picked, realign: bool, terms=None):
-        """Mean loss and gradient of the batch train_samples[picked]. With
-        realign, each label is first aligned to its prediction (symmetry-aware
-        mode) and its risk terms go to terms[index], when terms is given."""
-        batch = [train_samples[i] for i in picked]
-
-        def see_probs(k, probs):
-            s = batch[k]
-            if symaware:
-                update_permutations(model, [s], cfg.loss, [probs])
-            if terms is not None:
-                terms[picked[k]] = _risk_terms(s, probs, cfg.loss, s.pi if symaware else risk_pi)
-
-        return _batch_grads(model, batch, cfg.loss, symaware, see_probs if realign else None)
+        """Mean loss and gradient of the batch train_samples[picked], one
+        tape forward per sample. Its prediction first realigns the label
+        (with realign) and gives the sample's risk terms to terms[index]
+        (when terms is given); then the loss is taken on the same tape."""
+        scale = 1.0 / len(picked)
+        total = 0.0
+        acc: dict[str, np.ndarray] | None = None
+        for i in picked:
+            s = train_samples[i]
+            fwd = net.forward_tape(model, s.graph)
+            if realign or terms is not None:
+                probs = fwd.probs()
+                if realign:
+                    update_permutations(model, [s], cfg.loss, [probs])
+                if terms is not None:
+                    terms[i] = _risk_terms(s, probs, cfg.loss, s.pi if symaware else risk_pi)
+            target = _permuted_label(s, s.pi if symaware else None)
+            value, grads = net.loss_and_grad(model, s.graph, target, cfg.loss, s.target_idx, fwd)
+            del fwd  # no tape outlives its backward pass
+            total += value * scale
+            if acc is None:
+                acc = {name: g * scale for name, g in grads.items()}
+            else:
+                for name, g in grads.items():
+                    acc[name] += g * scale
+        return total, acc
 
     def score(s):
         return _risk_terms(s, net.forward(model, s.graph), cfg.loss, risk_pi)
@@ -320,7 +308,7 @@ def fit(
         for start in range(0, n, cfg.batch_size):
             picked = order[start : start + cfg.batch_size]
             for inner in range(cfg.inner_steps):
-                total, grads = head if head is not None else step(picked, inner == 0)
+                total, grads = head if head is not None else step(picked, symaware and inner == 0)
                 head = None
                 net.adam_step(model, state, grads)
                 if not np.isfinite(total):
@@ -331,7 +319,7 @@ def fit(
         terms: list = [None] * n
         if epoch < cfg.epochs:
             order = rng.permutation(n)
-            head = step(order[: cfg.batch_size], True, terms)
+            head = step(order[: cfg.batch_size], symaware, terms)
         r_tr, rs_tr = _means([t if t is not None else score(s) for t, s in zip(terms, train_samples)])
         r_val, rs_val = _means([score(s) for s in val_samples]) if val_samples else (r_tr, rs_tr)
         curve.append(EpochStats(epoch, r_tr, rs_tr, r_val, rs_val, (time.perf_counter() - t0) * 1e3))

@@ -25,6 +25,13 @@ from symilp import net, tape, train
 from symilp.instance import permute_values
 
 
+def gather_rows(a, idx, incidence):
+    """Tape node out[e] = a[idx[e]]; incidence is graph.incidence(idx, a's
+    row count), so the backward pass scatter-adds through it."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return tape.Node(a.data[idx], (a,), lambda g: (incidence @ g,))
+
+
 def reference_forward_tape(model, graph):
     """net.forward_tape with every message computed per edge."""
     p = {name: tape.leaf(arr) for name, arr in model.params.items()}
@@ -34,13 +41,13 @@ def reference_forward_tape(model, graph):
     con_inc, var_inc = graph.con_incidence, graph.var_incidence
 
     for l in range(model.cfg.layers):
-        ce = tape.gather_rows(c, graph.edge_con, con_inc)
-        ve = tape.gather_rows(v, graph.edge_var, var_inc)
+        ce = gather_rows(c, graph.edge_con, con_inc)
+        ve = gather_rows(v, graph.edge_var, var_inc)
         msg_c = net._mlp(p, f"layer{l}.g_c", tape.concat_cols([ce, ve, w]))
         agg_c = tape.scatter_add_rows(msg_c, graph.edge_con, con_inc)
         c = net._mlp(p, f"layer{l}.f_c", tape.concat_cols([c, agg_c]))
 
-        ce = tape.gather_rows(c, graph.edge_con, con_inc)
+        ce = gather_rows(c, graph.edge_con, con_inc)
         msg_v = net._mlp(p, f"layer{l}.g_v", tape.concat_cols([ce, ve, w]))
         agg_v = tape.scatter_add_rows(msg_v, graph.edge_var, var_inc)
         v = net._mlp(p, f"layer{l}.f_v", tape.concat_cols([v, agg_v]))

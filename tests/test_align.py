@@ -176,9 +176,11 @@ def test_best_perm_never_worse_than_identity():
             for _ in range(25):
                 x = rng.integers(0, 2, size=(3, q)).astype(float)
                 xhat = rng.uniform(0.01, 0.99, size=(3, q))
-                _, val = align.best_perm(_problem(xhat, x, loss, kind))
+                p, val = align.best_perm(_problem(xhat, x, loss, kind))
                 ident_val = align.permuted_loss(xhat, x, pm.identity(q), loss)
                 assert val <= ident_val + 1e-12
+                # The loss read off the cost matrix is the element's loss.
+                assert val == pytest.approx(align.permuted_loss(xhat, x, p, loss), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", [pm.SYMMETRIC, pm.CYCLIC, pm.DIHEDRAL])

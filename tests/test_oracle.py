@@ -338,6 +338,8 @@ def test_no_lp_means_no_model(ex1, monkeypatch):
 
 
 def test_bb_agrees_with_brute_force_on_random_instances():
+    # Every solve cut short by a node limit reports a bound at or below the
+    # optimum z*, and an incumbent, if it has one, at or above it.
     rng = np.random.default_rng(99)
     solved = 0
     while solved < 30:
@@ -346,18 +348,14 @@ def test_bb_agrees_with_brute_force_on_random_instances():
         bb = oracle.solve_bb(inst)
         assert bb.status == bf.status
         if bf.status == oracle.OPTIMAL:
-            assert bb.solution.objective == pytest.approx(bf.solution.objective, abs=1e-9)
-            oracle.solve_bb(inst, debug_optimum=bf.solution.objective)
+            z = bf.solution.objective
+            assert bb.solution.objective == pytest.approx(z, abs=1e-9)
+            for k in range(1, bb.nodes):
+                cut = oracle.solve_bb(inst, oracle.SolveLimits(node_limit=k))
+                assert cut.status == oracle.LIMIT_REACHED and cut.nodes == k
+                assert cut.bound <= z + 1e-6, (solved, k)
+                assert cut.solution is None or cut.solution.objective >= z - 1e-6, (solved, k)
             solved += 1
-
-
-def test_bb_debug_optimum_violations_raise(ex1):
-    # ex1's optimum is 2 bins; a claimed optimum on either side of it breaks
-    # the sandwich, and the check raises rather than asserts.
-    with pytest.raises(RuntimeError, match="below the known optimum"):
-        oracle.solve_bb(ex1, debug_optimum=3.0)
-    with pytest.raises(RuntimeError, match="exceeds known optimum"):
-        oracle.solve_bb(ex1, debug_optimum=1.0)
 
 
 def test_bb_extra_rows_of_every_sense_hold(ex1):

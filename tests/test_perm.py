@@ -105,9 +105,3 @@ def test_symmetric_enumeration_cap():
     assert len(pm.enumerate_symmetric(4).elements) == 24
     with pytest.raises(ValueError):
         pm.enumerate_symmetric(9)
-
-
-def test_group_order():
-    assert pm.group_order(pm.CYCLIC, 7) == 7
-    assert pm.group_order(pm.DIHEDRAL, 7) == 14
-    assert pm.group_order(pm.SYMMETRIC, 5) == 120

@@ -43,6 +43,30 @@ def test_config_fields_are_read():
     assert not unread, f"config fields never read in the package: {unread}"
 
 
+def test_function_parameters_are_read():
+    # A parameter that its function never reads is a dead knob, or one left
+    # behind by a deletion: passing it changes nothing. Reads in nested
+    # functions count, since a closure reads its parameters there.
+    unread = []
+    for path in sorted(pathlib.Path(symilp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            reads = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params if a and a.arg not in reads]
+    assert not unread, f"function parameters never read in the package: {unread}"
+
+
 def test_traced_span_targets_resolve():
     # perfbench's traced run wraps these (module, attribute) pairs by name;
     # a rename in the package would otherwise only fail at trace time.

@@ -231,41 +231,62 @@ def test_fit_runs_one_forward_pass_per_use(monkeypatch, mode, force_identity):
     # Every forward pass, tape forwards included, keyed by (sample, Adam
     # steps taken so far): the pairs are exactly the batch samples of each
     # step and every sample at each epoch's end, and none occurs twice.
+    # A prediction (TapeForward.probs) is read once per pair that uses it:
+    # the alignment's (symmetry-aware mode, first inner step) and the
+    # epoch's risk terms; classic mode reads none at any other step.
     fit_samples, val_all = fit_data()
-    forwards = collections.Counter()
+    forwards, probs = collections.Counter(), collections.Counter()
+    tape_keys = {}
     steps = [0]
-    real_forward_tape, real_adam_step = net.forward_tape, net.adam_step
+    real_forward_tape, real_adam_step, real_probs = net.forward_tape, net.adam_step, net.TapeForward.probs
 
     def counting_forward_tape(model, graph):
         forwards[id(graph), steps[0]] += 1
-        return real_forward_tape(model, graph)
+        fwd = real_forward_tape(model, graph)
+        tape_keys[id(fwd)] = id(graph), steps[0]
+        return fwd
 
     def counting_adam_step(*args):
         steps[0] += 1
         return real_adam_step(*args)
 
+    def counting_probs(fwd):
+        probs[tape_keys[id(fwd)]] += 1
+        return real_probs(fwd)
+
     monkeypatch.setattr(net, "forward_tape", counting_forward_tape)
     monkeypatch.setattr(net, "adam_step", counting_adam_step)
+    monkeypatch.setattr(net.TapeForward, "probs", counting_probs)
+    symaware = mode == train.SYMMETRY_AWARE and not force_identity
     for batch_size, inner_steps, with_val in FIT_SHAPES:
         val_samples = val_all if with_val else []
         for s in fit_samples + val_samples:
             s.pi = None
         cfg = fit_config(mode, force_identity, batch_size, inner_steps)
         forwards.clear()
+        probs.clear()
         steps[0] = 0
         train.fit(fit_samples, cfg, val_samples)
 
-        expected, step = set(), 0
+        expected, read, step = set(), set(), 0
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.epochs):
             order = rng.permutation(len(fit_samples))
             for start in range(0, len(order), batch_size):
-                for _ in range(inner_steps):
-                    expected |= {(id(fit_samples[i].graph), step) for i in order[start : start + batch_size]}
+                for inner in range(inner_steps):
+                    pairs = {(id(fit_samples[i].graph), step) for i in order[start : start + batch_size]}
+                    expected |= pairs
+                    if symaware and inner == 0:
+                        read |= pairs
                     step += 1
-            expected |= {(id(s.graph), step) for s in fit_samples + val_samples}
-        assert set(forwards) == expected, (batch_size, inner_steps, with_val)
-        assert set(forwards.values()) == {1}, (batch_size, inner_steps, with_val)
+            ends = {(id(s.graph), step) for s in fit_samples + val_samples}
+            expected |= ends
+            read |= ends
+        shape = batch_size, inner_steps, with_val
+        assert set(forwards) == expected, shape
+        assert set(forwards.values()) == {1}, shape
+        assert set(probs) == read, shape
+        assert set(probs.values()) == {1}, shape
 
 
 def fit_outputs(result, out_dir):
