@@ -58,10 +58,12 @@ class AlignmentProblem:
 
 
 def column_loss_matrix(xhat: np.ndarray, x: np.ndarray, loss: str) -> np.ndarray:
+    """The alignment loss's column cost matrix; for BCE the predictions are
+    first clipped into [BCE_CLIP, 1 - BCE_CLIP]."""
     if loss == SE:
         return build_cost_se(xhat, x)
     if loss == BCE:
-        return build_cost_bce(xhat, x)
+        return build_cost_bce(np.clip(xhat, BCE_CLIP, 1.0 - BCE_CLIP), x)
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -96,16 +98,9 @@ def build_cost_bce(xhat, x) -> np.ndarray:
 
 
 def permuted_loss(xhat, x, p: pm.Permutation, loss: str) -> float:
-    """Direct evaluation of the loss against the column-permuted label (summed)."""
-    xhat = np.asarray(xhat, dtype=float)
-    x = np.asarray(x, dtype=float)[:, list(p.mapping)]
-    if loss == SE:
-        d = xhat - x
-        return float(np.sum(d * d))
-    if loss == BCE:
-        xh = np.clip(xhat, BCE_CLIP, 1.0 - BCE_CLIP)
-        return float(-np.sum(x * np.log(xh) + (1.0 - x) * np.log1p(-xh)))
-    raise ValueError(f"unknown loss {loss!r}")
+    """The loss against the column-permuted label: p's q entries of the column cost matrix, summed."""
+    w = column_loss_matrix(xhat, x, loss)
+    return float(w[list(p.mapping), range(p.degree)].sum())
 
 
 def _assignment_cost(w: np.ndarray) -> float:
@@ -203,14 +198,10 @@ def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
     Every group is scored on the column cost matrix: symmetric groups go
     through the assignment reduction, cyclic and dihedral groups are
     enumerated exhaustively. The loss is read off that matrix (the chosen
-    element's q entries, summed), so it agrees with permuted_loss up to
-    rounding.
+    element's q entries, summed), exactly as permuted_loss reads it.
     """
     q = problem.x.shape[1]
-    xh = problem.xhat
-    if problem.loss == BCE:
-        xh = np.clip(xh, BCE_CLIP, 1.0 - BCE_CLIP)
-    w = column_loss_matrix(xh, problem.x, problem.loss)
+    w = column_loss_matrix(problem.xhat, problem.x, problem.loss)
     if problem.group_kind == pm.SYMMETRIC:
         return hungarian(w)
     return _enumerated_best(w, _group_table(problem.group_kind, q))

@@ -88,6 +88,11 @@ class GenSpec:
             raise ValueError(f"unknown perturb mode {self.perturb!r}")
         if self.perturb != "none" and self.family != "pesp":
             raise ValueError("perturbation applies to the pesp family only")
+        for key in ("bins", "circumference"):
+            if isinstance(self.params.get(key), (list, tuple)):
+                lo, hi = self.params[key]
+                if lo > hi:
+                    raise ValueError(f"{key} range [{lo}, {hi}] is reversed: lo must not exceed hi")
 
 
 def _cap_binaries(n_bin: int, family: str) -> None:
@@ -530,17 +535,12 @@ def generate_instances(spec: GenSpec) -> list[IlpInstance]:
     return out
 
 
-def _label_one(args):
-    inst, limits = args
-    return solve_bb(inst, limits)
-
-
 def label_instances(instances, limits: SolveLimits, workers: int = 1):
     """Solve every instance; returns a list of SolveResult in instance order."""
     if workers <= 1:
         return [solve_bb(inst, limits) for inst in instances]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_label_one, [(inst, limits) for inst in instances]))
+        return list(pool.map(solve_bb, instances, [limits] * len(instances)))
 
 
 def build_dataset(

@@ -70,10 +70,6 @@ class BipartiteGraph:
     def num_cons(self) -> int:
         return self.con_feats.shape[0]
 
-    @property
-    def num_edges(self) -> int:
-        return self.edge_var.shape[0]
-
 
 def incidence(idx: np.ndarray, num_rows: int) -> csr_array:
     """num_rows x len(idx) 0/1 matrix with a 1 at (idx[e], e) for every e."""

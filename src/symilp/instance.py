@@ -9,7 +9,6 @@ Instances are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -58,10 +57,6 @@ class Constraint:
 class SymmetryDescriptor:
     kind: str  # one of perm.GROUP_KINDS
     grid: tuple[tuple[int, ...], ...]  # p rows x q columns of variable indices
-
-    @property
-    def p(self) -> int:
-        return len(self.grid)
 
     @property
     def q(self) -> int:
@@ -185,10 +180,8 @@ def permute_values(desc: SymmetryDescriptor, p: pm.Permutation, values) -> np.nd
     """
     if p.degree != desc.q:
         raise ValueError(f"permutation degree {p.degree} != group degree {desc.q}")
-    vals = np.array(values, dtype=float)
-    grid = desc.grid_array()
-    vals[grid] = vals[grid[:, list(p.mapping)]]
-    return vals
+    vals = np.asarray(values, dtype=float)
+    return vals[_induced_variable_map(desc, p, vals.size)]
 
 
 def apply_solution_permutation(
@@ -212,14 +205,11 @@ def _induced_variable_map(desc: SymmetryDescriptor, p: pm.Permutation, n: int) -
     return sigma
 
 
-def _canonical_rows(constraints, sigma: np.ndarray | None) -> list[tuple]:
-    """Canonical sortable key per row, optionally with indices pushed through sigma."""
+def _canonical_rows(constraints, sigma: np.ndarray) -> list[tuple]:
+    """Canonical sortable key per row, with indices pushed through sigma."""
     rows = []
     for con in constraints:
-        if sigma is None:
-            items = [(idx, round(val, 12)) for idx, val in con.coeffs]
-        else:
-            items = [(int(sigma[idx]), round(val, 12)) for idx, val in con.coeffs]
+        items = [(int(sigma[idx]), round(val, 12)) for idx, val in con.coeffs]
         items.sort()
         rows.append((con.sense, round(con.rhs, 12), tuple(items)))
     rows.sort()
@@ -252,7 +242,7 @@ def check_symmetry(instance: IlpInstance, p: pm.Permutation) -> bool:
             return False
 
     return _canonical_rows(instance.constraints, sigma) == _canonical_rows(
-        instance.constraints, None
+        instance.constraints, np.arange(n)
     )
 
 
@@ -296,6 +286,8 @@ def instance_to_dict(instance: IlpInstance) -> dict:
 def instance_from_dict(data: dict) -> IlpInstance:
     if not isinstance(data, dict):
         raise SchemaError("instance document must be a JSON object")
+    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise SchemaError(f"schema_version {data['schema_version']!r} is not {SCHEMA_VERSION}")
     for key in ("name", "vars", "objective", "constraints"):
         if key not in data:
             raise SchemaError(f"missing required field {key!r}")
@@ -340,8 +332,6 @@ def write_json(instance: IlpInstance, path) -> None:
 
 
 def read_json(path) -> IlpInstance:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)  # raises json.JSONDecodeError on malformed input
     return instance_from_dict(data)

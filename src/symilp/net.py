@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape
+from .align import BCE, SE
 from .graph import CON_FEATS, VAR_FEATS, BipartiteGraph
-
-SE = "se"
-BCE = "bce"
 
 CHECKPOINT_MAGIC = b"GNN1"
 CHECKPOINT_VERSION = 1
@@ -314,7 +312,7 @@ def load_checkpoint(path: str) -> GnnModel:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(blob_len).decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(float)
+        payload = fh.read()
     for key, current in (("var_feats", VAR_FEATS), ("con_feats", CON_FEATS)):
         stored = header["config"][key]
         if stored != current:
@@ -327,5 +325,11 @@ def load_checkpoint(path: str) -> GnnModel:
     expected = [[name, list(model.params[name].shape)] for name in model.param_names()]
     if expected != header["params"]:
         raise ValueError("checkpoint parameter layout mismatch")
-    unflatten_params(model, flat)
+    size = 8 * sum(arr.size for arr in model.params.values())
+    if len(payload) != size:
+        state = "truncated" if len(payload) < size else "too long"
+        raise ValueError(
+            f"checkpoint {path} is {state}: its parameters take {size} bytes, found {len(payload)}"
+        )
+    unflatten_params(model, np.frombuffer(payload, dtype="<f8").astype(float))
     return model

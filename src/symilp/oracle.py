@@ -25,7 +25,6 @@ from scipy.sparse import csc_array
 from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
 
 OPTIMAL = "optimal"
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 LIMIT_REACHED = "limit_reached"
@@ -103,11 +102,11 @@ class _DenseSystem:
     lb: np.ndarray
     ub: np.ndarray
     integral: np.ndarray  # bool mask
-    # linprog's arguments: LE rows, then GE rows negated; None when empty.
-    a_ub: np.ndarray | None
-    b_ub: np.ndarray | None
-    a_eq: np.ndarray | None
-    b_eq: np.ndarray | None
+    # linprog's arguments: LE rows, then GE rows negated; either block may have no rows.
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
     lp: "_HighsLp | None" = None  # built on the first LP solve
     lp_ms: float = 0.0  # time spent in LP solves so far
 
@@ -120,16 +119,12 @@ class _DenseSystem:
                 a[j, idx] = val
         rhs = np.array([con.rhs for con in rows], dtype=float)
         le, ge, eq = (np.array([con.sense == s for con in rows], dtype=bool) for s in (LE, GE, EQ))
-        a_ub, b_ub = np.vstack([a[le], -a[ge]]), np.concatenate([rhs[le], -rhs[ge]])
-        if not b_ub.size:
-            a_ub = b_ub = None
-        a_eq, b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
         return cls(
             np.asarray(instance.objective, dtype=float), a, rhs, le, ge, eq,
             np.array([v.lb for v in instance.vars]),
             np.array([v.ub for v in instance.vars]),
             np.array([v.is_integral() for v in instance.vars]),
-            a_ub, b_ub, a_eq, b_eq,
+            np.vstack([a[le], -a[ge]]), np.concatenate([rhs[le], -rhs[ge]]), a[eq], rhs[eq],
         )
 
     def rows_failing(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -161,9 +156,8 @@ class _HighsLp:
 
     def __init__(self, sys_: _DenseSystem):
         n = sys_.c.size
-        a_ub, b_ub = (sys_.a_ub, sys_.b_ub) if sys_.b_ub is not None else (np.zeros((0, n)), np.zeros(0))
-        a_eq, b_eq = (sys_.a_eq, sys_.b_eq) if sys_.b_eq is not None else (np.zeros((0, n)), np.zeros(0))
-        a = csc_array(np.vstack([a_ub, a_eq]))
+        b_ub, b_eq = sys_.b_ub, sys_.b_eq
+        a = csc_array(np.vstack([sys_.a_ub, sys_.a_eq]))
         self.cols = np.arange(n, dtype=np.int32)
         self.num_ub = b_ub.size
         self.row_upper = np.concatenate([b_ub, b_eq])

@@ -38,9 +38,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.mapping)
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
     def is_identity(self) -> bool:
         return all(m == i for i, m in enumerate(self.mapping))
 

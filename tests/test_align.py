@@ -180,7 +180,21 @@ def test_best_perm_never_worse_than_identity():
                 ident_val = align.permuted_loss(xhat, x, pm.identity(q), loss)
                 assert val <= ident_val + 1e-12
                 # The loss read off the cost matrix is the element's loss.
-                assert val == pytest.approx(align.permuted_loss(xhat, x, p, loss), rel=1e-12, abs=0)
+                assert val == align.permuted_loss(xhat, x, p, loss)
+
+
+def test_best_perm_loss_is_permuted_loss_at_the_clip():
+    # Predictions of exactly 0 and 1, with tied columns: the BCE clip lives
+    # in the column cost matrix, so both readings of it agree bit for bit.
+    rng = np.random.default_rng(31)
+    for kind, q in ((pm.SYMMETRIC, 4), (pm.CYCLIC, 5), (pm.DIHEDRAL, 6)):
+        for loss in (align.SE, align.BCE):
+            for _ in range(10):
+                x = rng.integers(0, 2, size=(3, q)).astype(float)
+                xhat = rng.integers(0, 2, size=(3, q)).astype(float)
+                xhat[:, 1] = xhat[:, 0]
+                p, val = align.best_perm(_problem(xhat, x, loss, kind))
+                assert val == align.permuted_loss(xhat, x, p, loss)
 
 
 @pytest.mark.parametrize("kind", [pm.SYMMETRIC, pm.CYCLIC, pm.DIHEDRAL])

@@ -377,3 +377,16 @@ def test_genspec_validation():
         bench.GenSpec("binpack", 0, 0, {})
     with pytest.raises(ValueError):
         bench.GenSpec("binpack", 5, 0, {}, perturb="literal")
+
+
+def test_genspec_rejects_reversed_ranges():
+    # Reversed spans used to divide by zero (golomb 7:6), silently keep lo
+    # (golomb 8:6) or fail inside numpy without naming the parameter.
+    for family, key, params in (
+        ("golomb", "circumference", {"ticks": 3}),
+        ("item_placement", "bins", {"items": 4, "resources": 2}),
+    ):
+        for span in ([7, 6], [8, 6], (4, 3)):
+            with pytest.raises(ValueError, match=f"{key} range .* is reversed"):
+                bench.GenSpec(family, 2, 0, {**params, key: span})
+        bench.GenSpec(family, 2, 0, {**params, key: [6, 6]})

@@ -204,6 +204,21 @@ def test_env_var_default_dataset(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(data, "instances"))
 
 
+@pytest.mark.parametrize(
+    "family_args",
+    [
+        ["--family", "golomb", "--ticks", "3", "--circumference", "7:6"],
+        ["--family", "golomb", "--ticks", "3", "--circumference", "8:6"],
+        ["--family", "item_placement", "--bins", "4:3"],
+    ],
+)
+def test_gen_rejects_reversed_range(tmp_path, capsys, family_args):
+    out = str(tmp_path / "data")
+    assert run(["gen", *family_args, "--count", "2", "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
     # no dataset dir anywhere -> config error

@@ -211,7 +211,7 @@ def test_fix_and_optimize_retries_on_infeasible_fixing(labeled_ex1):
     # when fixed, so the retry loop must relax the fixing.
     pred = np.full(inst.num_vars, 0.99)
     res = evalx.fix_and_optimize(inst, pred, 1.0)
-    assert res.status in (oracle.OPTIMAL, oracle.FEASIBLE)
+    assert res.status == oracle.OPTIMAL
 
 
 def test_fix_and_optimize_validates_alpha(labeled_ex1):

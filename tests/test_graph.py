@@ -14,7 +14,7 @@ def test_edge_count_matches_nonzeros():
     g = encode(inst)
     nnz = sum(len(c.coeffs) for c in inst.constraints)
     assert nnz == 21
-    assert g.num_edges == nnz
+    assert g.edge_var.size == nnz
     assert g.var_feats.shape == (12, VAR_FEATS)
     assert g.con_feats.shape == (6, CON_FEATS)
 

@@ -134,6 +134,15 @@ def test_schema_rejects_invalid_instance():
         instance_from_dict(doc)
 
 
+def test_schema_version_is_checked_when_present():
+    doc = instance_to_dict(tiny_instance())
+    doc["schema_version"] = 99
+    with pytest.raises(SchemaError, match="schema_version 99"):
+        instance_from_dict(doc)
+    del doc["schema_version"]
+    assert instance_from_dict(doc) == tiny_instance()
+
+
 def test_identity_permutation_keeps_solution(ex1):
     sol = Solution(tuple(map(float, X_BASE)), 2.0)
     out = apply_solution_permutation(ex1, pm.identity(3), sol)

@@ -257,8 +257,8 @@ def test_incidence_products_match_add_at_bit_for_bit():
 def test_graph_incidences_match_add_at_bit_for_bit():
     # The constraint-free graph has no edges and no constraint rows.
     for g in (small_graph(), encode(gen_golomb(4, 7, seed=1)), empty_edge_graph()):
-        assert g.con_incidence.shape == (g.num_cons, g.num_edges)
-        assert g.var_incidence.shape == (g.num_vars, g.num_edges)
+        assert g.con_incidence.shape == (g.num_cons, g.edge_var.size)
+        assert g.var_incidence.shape == (g.num_vars, g.edge_var.size)
         _check_against_add_at(g.edge_con, g.con_incidence, 32, seed=1)
         _check_against_add_at(g.edge_var, g.var_incidence, 32, seed=2)
 
@@ -429,6 +429,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
     # The right magic with the version and header length cut short.
     path.write_bytes(net.CHECKPOINT_MAGIC + b"\x01\x00")
     with pytest.raises(ValueError, match="short header"):
+        net.load_checkpoint(str(path))
+    # A file cut inside its parameters, or with bytes after them, names
+    # itself so, with both byte counts, before any decoding.
+    net.save_checkpoint(net.init(net.GnnConfig(hidden=6, layers=1), seed=0), str(path))
+    whole = path.read_bytes()
+    size = 8 * net.flatten_params(net.load_checkpoint(str(path))).size
+    for cut in (5, 8, 16):
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(ValueError, match=f"truncated: its parameters take {size} bytes, found {size - cut}$"):
+            net.load_checkpoint(str(path))
+    path.write_bytes(whole + bytes(8))
+    with pytest.raises(ValueError, match=f"too long: its parameters take {size} bytes, found {size + 8}$"):
         net.load_checkpoint(str(path))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -212,13 +213,19 @@ def hamming_ball(inst, center, radius):
 def cross_check_systems():
     placement = gen_item_placement(4, 5, 2, seed=3)
     center = np.random.default_rng(5).integers(0, 2, size=placement.num_vars)
+    pesp = gen_pesp(4, 5, 4, seed=1)
+    # Two systems with an empty row block: no EQ row, and only EQ rows.
+    no_eq = [c for c in placement.constraints if c.sense != EQ]
+    only_eq = [c for c in pesp.constraints if c.sense == EQ]
     instances = [
         (gen_binpack(4, 3, 6, (1, 3), seed=1), ()),
         (placement, ()),
         (gen_smsp(4, 3, 2, seed=1), ()),
-        (gen_pesp(4, 5, 4, seed=1), ()),
+        (pesp, ()),
         (gen_golomb(3, 8), ()),
         (placement, (hamming_ball(placement, center, 3),)),
+        (dataclasses.replace(placement, constraints=tuple(no_eq)), ()),
+        (dataclasses.replace(pesp, constraints=tuple(only_eq)), ()),
     ]
     return [oracle._DenseSystem.build(inst, extra) for inst, extra in instances]
 

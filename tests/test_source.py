@@ -84,3 +84,75 @@ def test_traced_span_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"span targets missing from the package: {missing}"
+
+
+# Names that nothing in the package reads, kept for a stated contract.
+KEPT_UNREFERENCED = {
+    "instance.check_symmetry": "acceptance criterion 3",
+    "instance.apply_solution_permutation": "acceptance criterion 3",
+    "net.sample_loss": "acceptance criterion 4",
+    "train.risk_symaware": "acceptance criterion 5",
+    "perm.inverse": "acceptance criteria 1-3",
+    "perm.enumerate_symmetric": "acceptance criteria 1-3",
+    "oracle.brute_force": "acceptance criterion 9",
+    "evalx.top_m_error": "a perfbench span",
+    "train.risk_classic": "a perfbench span",
+    "train.aligned_risk": "a perfbench span",
+    "oracle.lp_relax": "the linprog reference for the solver's HiGHS model",
+    "perm.Permutation.apply": "the action that test_perm checks compose against",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, name, node, is member) for every top-level function, class
+    and constant, and every method, property and class constant; dunders
+    are called implicitly and left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    yield f"{module}.{target.id}", target.id, node, False
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            names = []
+            if isinstance(member, ast.FunctionDef):
+                names = [member.name]
+            elif isinstance(member, ast.Assign):
+                names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+            for name in names:
+                yield f"{module}.{node.name}.{name}", name, member, True
+
+
+def test_every_name_is_referenced():
+    # A function, class, method or constant that nothing in the package
+    # reads is dead code, unless KEPT_UNREFERENCED names its contract.
+    # Top-level names count as read by a bare or a qualified load, members
+    # only by an attribute load; loads inside the definition do not count.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(pathlib.Path(symilp.__file__).parent.glob("*.py"))
+    }
+    loads = []  # (name, node id, is attribute)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append((node.id, id(node), False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((node.attr, id(node), True))
+    unread, found = [], set()
+    for module, tree in trees.items():
+        for qualname, name, node, is_member in _definitions(module, tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            found.add(qualname)
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(n == name and i not in inside and (attr or not is_member) for n, i, attr in loads):
+                unread.append(qualname)
+    assert set(KEPT_UNREFERENCED) <= found, f"kept names not defined: {set(KEPT_UNREFERENCED) - found}"
+    stale = set(KEPT_UNREFERENCED) - set(unread)
+    assert not stale, f"kept names that the package now reads: {sorted(stale)}"
+    dead = sorted(set(unread) - set(KEPT_UNREFERENCED))
+    assert not dead, f"names nothing in the package reads: {dead}"
