@@ -59,6 +59,8 @@ BINARY_VAR_CAP = 400
 FAMILIES = ("binpack", "item_placement", "smsp", "pesp", "golomb")
 
 PERTURB_MODES = ("none", "literal", "centered")
+# The one parameter of each family that may be a [lo, hi] range.
+RANGE_PARAMS = {"item_placement": "bins", "golomb": "circumference"}
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,13 @@ class GenSpec:
         if self.perturb != "none" and self.family != "pesp":
             raise ValueError("perturbation applies to the pesp family only")
         for key in ("bins", "circumference"):
-            if isinstance(self.params.get(key), (list, tuple)):
-                lo, hi = self.params[key]
-                if lo > hi:
-                    raise ValueError(f"{key} range [{lo}, {hi}] is reversed: lo must not exceed hi")
+            if not isinstance(self.params.get(key), (list, tuple)):
+                continue
+            if RANGE_PARAMS.get(self.family) != key:
+                raise ValueError(f"{self.family}: {key} takes a single value, not a range")
+            lo, hi = self.params[key]
+            if lo > hi:
+                raise ValueError(f"{key} range [{lo}, {hi}] is reversed: lo must not exceed hi")
 
 
 def _cap_binaries(n_bin: int, family: str) -> None:

@@ -2,14 +2,14 @@
 
 This module plays the role a commercial solver would play at production
 scale. It produces training labels and serves the repair heuristics. The
-continuous relaxations are solved with HiGHS. Each solve builds one HiGHS
-model of its rows on its first LP; a branch-and-bound node sets the model's
-column bounds and re-runs it from a cold start, so every node returns the
-LP solution scipy.optimize.linprog(method="highs") returns for the same
-arguments. lp_relax calls linprog itself and is the reference for that
-equivalence. The search layers on top (enumeration, depth-first branch and
-bound with most-fractional branching) are deterministic, so repeated runs
-yield identical labels.
+continuous relaxations are solved with HiGHS. Each solve stores its rows
+once, sparse and stacked as linprog(method="highs") stacks them, and builds
+one HiGHS model of them on its first LP. A branch-and-bound node sets the
+model's column bounds and re-runs it from a cold start, so every node returns
+the LP solution linprog returns for the same arguments. lp_relax calls
+linprog itself and is the reference for that equivalence. The search layers
+on top (enumeration, depth-first branch and bound with most-fractional
+branching) are deterministic, so repeated runs yield identical labels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
 
 from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
 
@@ -44,8 +44,8 @@ class SolveLimits:
     node_limit: int = 200_000
 
     def __post_init__(self):
-        if self.time_limit_ms <= 0 or self.node_limit <= 0:
-            raise ValueError("limits must be positive")
+        if not (self.time_limit_ms > 0 and self.node_limit > 0):  # refuses a NaN time limit too
+            raise ValueError(f"limits must be positive, got {self.time_limit_ms} ms and {self.node_limit} nodes")
 
 
 @dataclass
@@ -77,156 +77,151 @@ def check_feasible(instance: IlpInstance, values) -> list[str]:
             out.append(f"var {i}: value {v} outside [{var.lb}, {var.ub}]")
         if var.is_integral() and abs(v - round(v)) > INT_TOL:
             out.append(f"var {i}: value {v} not integral")
-    sys_ = _DenseSystem.build(instance)
+    sys_ = _System.build(instance)
     lhs = sys_.a @ vals
-    for j in sys_.rows_failing(lhs, lhs):
-        op = ">" if sys_.le[j] else "<" if sys_.ge[j] else "!="
-        out.append(f"constraint {j}: {lhs[j]} {op} {instance.constraints[j].rhs}")
+    failing = sys_.rows_failing(lhs, lhs)
+    for j, r in sorted(zip(sys_.source[failing].tolist(), failing)):
+        con = instance.constraints[j]
+        # A GE row is stored negated; 0.0 - lhs undoes that without printing -0.0.
+        act = 0.0 - lhs[r] if con.sense == GE else lhs[r]
+        op = {LE: ">", GE: "<", EQ: "!="}[con.sense]
+        out.append(f"constraint {j}: {act} {op} {con.rhs}")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Dense views shared by the solvers
+# The rows shared by the solvers
 
 
 @dataclass
-class _DenseSystem:
-    """A problem's rows, read once: the one place that looks at row senses."""
+class _System:
+    """A problem's rows, read once, and the one row-feasibility test.
+
+    One CSC matrix holds the rows as linprog(method="highs") hands them to HiGHS:
+    LE rows, then GE rows negated, then EQ rows; either block may be empty.
+    """
 
     c: np.ndarray
-    a: np.ndarray  # m x n dense coefficient matrix
-    rhs: np.ndarray
-    le: np.ndarray  # bool row masks, one per sense
-    ge: np.ndarray
-    eq: np.ndarray
+    a: csc_array
+    row_lower: np.ndarray  # -inf on the num_ub LE and GE rows
+    row_upper: np.ndarray
+    num_ub: int
+    source: np.ndarray  # the instance row of each stacked row
     lb: np.ndarray
     ub: np.ndarray
     integral: np.ndarray  # bool mask
-    # linprog's arguments: LE rows, then GE rows negated; either block may have no rows.
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lp: "_HighsLp | None" = None  # built on the first LP solve
+    lp: highs._Highs | None = None  # built on the first LP solve
     lp_ms: float = 0.0  # time spent in LP solves so far
 
     @classmethod
-    def build(cls, instance: IlpInstance, extra_constraints=()) -> "_DenseSystem":
+    def build(cls, instance: IlpInstance, extra_constraints=()) -> "_System":
         rows = list(instance.constraints) + list(extra_constraints)
-        a = np.zeros((len(rows), instance.num_vars))
-        for j, con in enumerate(rows):
+        source = [j for sense in (LE, GE, EQ) for j, con in enumerate(rows) if con.sense == sense]
+        starts, cols, vals, row_upper = [0], [], [], []
+        for j in source:
+            con = rows[j]
+            sign = -1.0 if con.sense == GE else 1.0
             for idx, val in con.coeffs:
-                a[j, idx] = val
-        rhs = np.array([con.rhs for con in rows], dtype=float)
-        le, ge, eq = (np.array([con.sense == s for con in rows], dtype=bool) for s in (LE, GE, EQ))
+                cols.append(idx)
+                vals.append(sign * val)
+            starts.append(len(cols))
+            row_upper.append(sign * con.rhs)
+        a = csr_array((vals, cols, starts), shape=(len(rows), instance.num_vars)).tocsc()
+        num_ub = sum(con.sense != EQ for con in rows)
+        row_upper = np.array(row_upper, dtype=float)
+        row_lower = np.where(np.arange(len(rows)) < num_ub, -np.inf, row_upper)
         return cls(
-            np.asarray(instance.objective, dtype=float), a, rhs, le, ge, eq,
+            np.asarray(instance.objective, dtype=float), a, row_lower, row_upper, num_ub,
+            np.array(source, dtype=np.intp),
             np.array([v.lb for v in instance.vars]),
             np.array([v.ub for v in instance.vars]),
             np.array([v.is_integral() for v in instance.vars]),
-            np.vstack([a[le], -a[ge]]), np.concatenate([rhs[le], -rhs[ge]]), a[eq], rhs[eq],
         )
 
     def rows_failing(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Rows that no activity in [lo, hi] satisfies at FEAS_TOL (lo = hi for a point)."""
-        over = (self.le | self.eq) & (lo > self.rhs + FEAS_TOL)
-        under = (self.ge | self.eq) & (hi < self.rhs - FEAS_TOL)
-        return np.flatnonzero(over | under)
+        """Stacked rows that no activity in [lo, hi] satisfies at FEAS_TOL (lo = hi for a point)."""
+        return np.flatnonzero((lo > self.row_upper + FEAS_TOL) | (hi < self.row_lower - FEAS_TOL))
 
 
-class _HighsLp:
-    """One HiGHS model of a system's rows, set up the way linprog(method="highs") sets up its own.
-
-    Rows are the a_ub rows with bounds [-inf, b_ub], then the a_eq rows with
-    bounds [b_eq, b_eq], in one CSC matrix, as linprog stacks them. solve()
-    sets the column bounds and clears the solver before it runs, so every
-    solve starts cold and returns exactly what a fresh linprog call on the
-    same arguments returns.
-    """
-
-    # Model statuses other than kOptimal, mapped as linprog maps them; any
-    # status not listed (kUnboundedOrInfeasible included) is an error.
-    STATUS = {
-        highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-        highs.HighsModelStatus.kModelError: INFEASIBLE,
-        highs.HighsModelStatus.kUnbounded: UNBOUNDED,
-    }
-    # linprog's post-solve residual tolerance: sqrt(tol) * 10 at its default tol = 1e-9.
-    RESIDUAL_TOL = np.sqrt(1e-9) * 10
-
-    def __init__(self, sys_: _DenseSystem):
-        n = sys_.c.size
-        b_ub, b_eq = sys_.b_ub, sys_.b_eq
-        a = csc_array(np.vstack([sys_.a_ub, sys_.a_eq]))
-        self.cols = np.arange(n, dtype=np.int32)
-        self.num_ub = b_ub.size
-        self.row_upper = np.concatenate([b_ub, b_eq])
-        lp = highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = sys_.c
-        lp.col_lower_ = sys_.lb
-        lp.col_upper_ = sys_.ub
-        lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-        lp.row_upper_ = self.row_upper
-        self.model = highs._Highs()
-        self.model.setOptionValue("output_flag", False)
-        self.model.setOptionValue("presolve", "on")
-        self.model.setOptionValue(
-            "simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        )
-        if self.model.passModel(lp) == highs.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the LP model")
-
-    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-        model = self.model
-        model.changeColsBounds(self.cols.size, self.cols, lb, ub)
-        model.clearSolver()
-        model.run()
-        status = model.getModelStatus()
-        if status != highs.HighsModelStatus.kOptimal:
-            status = self.STATUS.get(status, "error")
-            return LpResult(status, np.inf if status == INFEASIBLE else -np.inf, None)
-        sol = model.getSolution()
-        x = np.array(sol.col_value)
-        value = model.getInfo().objective_function_value
-        # linprog's post-solve check: an optimum outside its bounds or rows
-        # by more than RESIDUAL_TOL, or with a NaN, is reported as an error.
-        slack = self.row_upper - np.array(sol.row_value)
-        tol = self.RESIDUAL_TOL
-        valid = (
-            not (np.isnan(x).any() or np.isnan(value) or np.isnan(slack).any())
-            and np.all((x >= lb - tol) & (x <= ub + tol))
-            and not (slack[: self.num_ub] < -tol).any()
-            and not (np.abs(slack[self.num_ub:]) > tol).any()
-        )
-        return LpResult(OPTIMAL, float(value), x) if valid else LpResult("error", -np.inf, None)
+# Model statuses other than kOptimal, mapped as linprog maps them; any
+# status not listed (kUnboundedOrInfeasible included) is an error.
+LP_STATUS = {
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kModelError: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+# linprog's post-solve residual tolerance: sqrt(tol) * 10 at its default tol = 1e-9.
+RESIDUAL_TOL = np.sqrt(1e-9) * 10
 
 
-def _solve_lp(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+def _highs_model(sys_: _System) -> highs._Highs:
+    """One HiGHS model of the system's rows, set up the way linprog(method="highs") sets up its own."""
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = sys_.c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = sys_.row_upper.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = sys_.a.indptr
+    lp.a_matrix_.index_ = sys_.a.indices
+    lp.a_matrix_.value_ = sys_.a.data
+    lp.col_cost_ = sys_.c
+    lp.col_lower_ = sys_.lb
+    lp.col_upper_ = sys_.ub
+    lp.row_lower_ = sys_.row_lower
+    lp.row_upper_ = sys_.row_upper
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "on")
+    model.setOptionValue(
+        "simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    )
+    if model.passModel(lp) == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the LP model")
+    return model
+
+
+def _solve_lp(sys_: _System, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """The LP over the box [lb, ub] on the system's HiGHS model, built on the first call."""
     if np.any(lb > ub + LP_TOL):
         return LpResult(INFEASIBLE, np.inf, None)
     t0 = time.perf_counter()
     if sys_.lp is None:
-        sys_.lp = _HighsLp(sys_)
-    result = sys_.lp.solve(lb, ub)
+        sys_.lp = _highs_model(sys_)
+    model = sys_.lp
+    model.changeColsBounds(lb.size, np.arange(lb.size, dtype=np.int32), lb, ub)
+    model.clearSolver()
+    model.run()
+    status = model.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        status = LP_STATUS.get(status, "error")
+        result = LpResult(status, np.inf if status == INFEASIBLE else -np.inf, None)
+    else:
+        sol = model.getSolution()
+        x = np.array(sol.col_value)
+        value = model.getInfo().objective_function_value
+        # linprog's post-solve check: an optimum outside its bounds or rows
+        # by more than RESIDUAL_TOL, or with a NaN, is reported as an error.
+        slack = sys_.row_upper - np.array(sol.row_value)
+        k, tol = sys_.num_ub, RESIDUAL_TOL
+        valid = (
+            not (np.isnan(x).any() or np.isnan(value) or np.isnan(slack).any())
+            and np.all((x >= lb - tol) & (x <= ub + tol))
+            and not (slack[:k] < -tol).any()
+            and not (np.abs(slack[k:]) > tol).any()
+        )
+        result = LpResult(OPTIMAL, float(value), x) if valid else LpResult("error", -np.inf, None)
     sys_.lp_ms += (time.perf_counter() - t0) * 1e3
     return result
 
 
-def _linprog(sys_: _DenseSystem, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+def _linprog(sys_: _System, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """The LP over the box [lb, ub] through a fresh linprog(method="highs") call."""
+    k = sys_.num_ub
     res = linprog(
         sys_.c,
-        A_ub=sys_.a_ub,
-        b_ub=sys_.b_ub,
-        A_eq=sys_.a_eq,
-        b_eq=sys_.b_eq,
+        A_ub=sys_.a[:k],
+        b_ub=sys_.row_upper[:k],
+        A_eq=sys_.a[k:],
+        b_eq=sys_.row_upper[k:],
         bounds=np.column_stack([lb, ub]),
         method="highs",
     )
@@ -244,7 +239,7 @@ def lp_relax(instance: IlpInstance) -> LpResult:
 
     It calls linprog directly, independent of the solver's HiGHS model.
     """
-    sys_ = _DenseSystem.build(instance)
+    sys_ = _System.build(instance)
     return _linprog(sys_, sys_.lb, sys_.ub)
 
 
@@ -269,7 +264,7 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
     every integral leaf; as in solve_bb, the status is UNBOUNDED once such
     an LP is unbounded.
     """
-    sys_ = _DenseSystem.build(instance)
+    sys_ = _System.build(instance)
     n = instance.num_vars
     int_idx = np.flatnonzero(sys_.integral)
     cont_idx = np.flatnonzero(~sys_.integral)
@@ -283,11 +278,12 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
 
     t0 = time.perf_counter()
     order = list(int_idx) + list(cont_idx)  # integral first, enumeration by index
-    a_ord = sys_.a[:, order]
+    a = sys_.a.toarray()  # dense, as the search space is capped
+    a_ord = a[:, order]
     lb_ord, ub_ord = sys_.lb[order], sys_.ub[order]
     lo_col = np.minimum(_times_bound(a_ord, lb_ord), _times_bound(a_ord, ub_ord))
     hi_col = np.maximum(_times_bound(a_ord, lb_ord), _times_bound(a_ord, ub_ord))
-    m = sys_.a.shape[0]
+    m = a.shape[0]
     depth_n = len(order)
     suf_lo = np.zeros((depth_n + 1, m))
     suf_hi = np.zeros((depth_n + 1, m))
@@ -345,7 +341,7 @@ def brute_force(instance: IlpInstance, collect_all: bool = False):
             finish_leaf(partial_obj)
             return
         v = order[depth]
-        col = sys_.a[:, v]
+        col = a[:, v]
         for val in range(int(sys_.lb[v]), int(sys_.ub[v]) + 1):
             nodes += 1
             x[v] = val
@@ -394,7 +390,7 @@ def solve_bb(
     is UNBOUNDED when a node whose integral variables are all fixed has an
     unbounded LP.
     """
-    sys_ = _DenseSystem.build(instance, extra_constraints)
+    sys_ = _System.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
     if fixed:
         for idx, val in fixed.items():

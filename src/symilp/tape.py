@@ -8,26 +8,32 @@ message perceptron over the edges of a bipartite graph is split in three
 nodes: `edge_hidden` (its first layer and ReLU), `scatter_add_rows` (the
 sum into receiving nodes) and `summed_linear` (its second layer, applied
 after the sum). Every matmul in them runs on node embeddings; only
-gathers, adds, the ReLU and the scatter work per edge. Gradients
-accumulate in a fixed reverse-topological order, so a fixed computation
-produces bit-identical gradients on every run.
+gathers, adds, the ReLU and the scatter work per edge. Each node records
+its creation order, which is a topological order; backward runs in reverse
+creation order, so a fixed computation produces bit-identical gradients on
+every run.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
 
 
+_creation = itertools.count()  # a topological order: parents exist before their node
+
+
 class Node:
-    __slots__ = ("data", "grad", "parents", "grad_fn")
+    __slots__ = ("data", "grad", "parents", "grad_fn", "seq")
 
     def __init__(self, data, parents=(), grad_fn=None):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
         self.parents = parents
         self.grad_fn = grad_fn  # maps upstream grad -> tuple of parent grads
+        self.seq = next(_creation)
 
     @property
     def shape(self):
@@ -156,31 +162,20 @@ def sigmoid_se_mean(logits: Node, rows, target: np.ndarray) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar root into every reachable node."""
+    """Accumulate gradients of a scalar root into every reachable node, in
+    reverse creation order: a node's consumers all come before it."""
     if root.data.ndim != 0 and root.data.size != 1:
         raise ValueError("backward needs a scalar root")
-    topo: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node.grad_fn is None or node.grad is None:
-            continue
+    # Only nodes with a gradient function have anything to pass on.
+    pending = [(-root.seq, root)] if root.grad_fn is not None else []
+    while pending:
+        _, node = heapq.heappop(pending)
         for parent, grad in zip(node.parents, node.grad_fn(node.grad)):
             # No op writes into a gradient, so the first one is stored as is.
             if parent.grad is None:
                 parent.grad = grad
+                if parent.grad_fn is not None:
+                    heapq.heappush(pending, (-parent.seq, parent))
             else:
                 parent.grad = parent.grad + grad

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("epochs, inner_steps and batch_size must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (0 < self.lr < np.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass

@@ -390,3 +390,13 @@ def test_genspec_rejects_reversed_ranges():
             with pytest.raises(ValueError, match=f"{key} range .* is reversed"):
                 bench.GenSpec(family, 2, 0, {**params, key: span})
         bench.GenSpec(family, 2, 0, {**params, key: [6, 6]})
+
+
+def test_genspec_allows_a_range_only_where_the_family_draws_from_it():
+    # binpack takes one bin count; a range used to fail later with a TypeError.
+    with pytest.raises(ValueError, match="binpack: bins takes a single value, not a range"):
+        bench.GenSpec("binpack", 2, 0, {"items": 4, "bins": [3, 4], "capacity": 6, "size_range": [1, 3]})
+    with pytest.raises(ValueError, match="pesp: circumference takes a single value"):
+        bench.GenSpec("pesp", 2, 0, {"events": 3, "activities": 3, "period": 5, "circumference": [6, 7]})
+    bench.GenSpec("item_placement", 2, 0, {"items": 4, "bins": [3, 4], "resources": 2})
+    bench.GenSpec("golomb", 2, 0, {"ticks": 3, "circumference": [6, 7]})

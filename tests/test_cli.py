@@ -219,6 +219,24 @@ def test_gen_rejects_reversed_range(tmp_path, capsys, family_args):
     assert not os.path.exists(out)
 
 
+def test_bad_settings_exit_2_before_any_output(pipeline_dir, tmp_path, capsys):
+    # A range for binpack's single bin count, a NaN time limit (which no
+    # "<= 0" check catches) and a learning rate that is not positive and finite.
+    data = str(tmp_path / "data")
+    assert run(["gen", "--family", "binpack", "--bins", "3:4", "--count", "2", "--out", data]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: binpack: bins takes a single value")
+    assert not os.path.exists(data)
+    assert run(["gen", "--family", "binpack", "--items", "3", "--count", "2", "--out", data]) == 0
+    assert run(["solve", data, "--time-limit-ms", "nan"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: limits must be positive")
+    assert sorted(os.listdir(data)) == ["instances", "spec.json"]
+    for lr in ("-0.01", "0", "nan"):
+        out = str(tmp_path / f"run{lr}")
+        assert run(["train", pipeline_dir, "--lr", lr, "--epochs", "1", "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: lr must be positive and finite")
+        assert not os.path.exists(out)
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
     # no dataset dir anywhere -> config error

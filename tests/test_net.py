@@ -302,6 +302,17 @@ def test_gradient_matches_finite_differences(loss_kind):
     assert rel.max() <= 1e-4
 
 
+def test_backward_accumulates_latest_consumer_first():
+    # Three consumers of x, created in the order 1, 2, 3, send it 1.0, 1e16
+    # and -1e16. Latest first sums (-1e16 + 1e16) + 1.0 = 1.0 exactly; any
+    # order that adds 1.0 to 1e16 before the cancellation loses the 1.0.
+    x = tape.leaf(np.array(0.0))
+    consumers = [tape.Node(np.array(0.0), (x,), lambda g, s=s: (np.array(s),)) for s in (1.0, 1e16, -1e16)]
+    root = tape.Node(np.array(0.0), tuple(consumers), lambda g: (g, g, g))
+    tape.backward(root)
+    assert x.grad == 1.0
+
+
 def test_zero_edge_graph_message_grads_are_zero():
     g = empty_edge_graph()
     model = net.init(net.GnnConfig(hidden=4, layers=2), seed=2)

@@ -101,6 +101,23 @@ def test_row_misses_reported_by_sense_at_tolerance():
         assert oracle.check_feasible(inst, vals) == []
 
 
+def test_violations_at_zero_activity_print_exactly_in_row_order():
+    # The solver stacks LE, then GE negated, then EQ rows; messages still
+    # come in instance row order, and a GE row reads 0.0, not -0.0.
+    variables = tuple(Variable(0.0, 1.0, "binary", i) for i in range(2))
+    rows = (
+        make_constraint([(0, 1.0), (1, 1.0)], EQ, 2.0),
+        make_constraint([(0, 1.0), (1, 2.0)], GE, 1.0),
+        make_constraint([(0, 1.0), (1, -1.0)], LE, -1.0),
+    )
+    inst = IlpInstance("zero", variables, (0.0, 0.0), rows, None, {})
+    assert oracle.check_feasible(inst, [0.0, 0.0]) == [
+        "constraint 0: 0.0 != 2.0",
+        "constraint 1: 0.0 < 1.0",
+        "constraint 2: 0.0 > -1.0",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
@@ -210,7 +227,7 @@ def hamming_ball(inst, center, radius):
     return make_constraint(coeffs, LE, float(radius - sum(center[i] for i in targets)))
 
 
-def cross_check_systems():
+def cross_check_instances():
     placement = gen_item_placement(4, 5, 2, seed=3)
     center = np.random.default_rng(5).integers(0, 2, size=placement.num_vars)
     pesp = gen_pesp(4, 5, 4, seed=1)
@@ -223,11 +240,16 @@ def cross_check_systems():
         (gen_smsp(4, 3, 2, seed=1), ()),
         (pesp, ()),
         (gen_golomb(3, 8), ()),
+        (gen_golomb(4, 13), ()),  # 9,897 rows
         (placement, (hamming_ball(placement, center, 3),)),
         (dataclasses.replace(placement, constraints=tuple(no_eq)), ()),
         (dataclasses.replace(pesp, constraints=tuple(only_eq)), ()),
     ]
-    return [oracle._DenseSystem.build(inst, extra) for inst, extra in instances]
+    return instances
+
+
+def cross_check_systems():
+    return [oracle._System.build(inst, extra) for inst, extra in cross_check_instances()]
 
 
 def random_box(rng, sys_):
@@ -243,6 +265,38 @@ def random_box(rng, sys_):
             lo, hi = np.sort(rng.uniform(lb[i], ub[i], size=2))
             lb[i], ub[i] = lo, hi
     return lb, ub
+
+
+def test_rows_failing_matches_each_row_by_sense():
+    # rows_failing reads the stacked rows, GE rows negated. Each instance
+    # row, read by its sense with its own coefficients, must fail exactly
+    # when its stacked row does: at random points, and for the activity
+    # interval over random boxes.
+    rng = np.random.default_rng(13)
+    tol = oracle.FEAS_TOL
+    for inst, extra in cross_check_instances():
+        sys_ = oracle._System.build(inst, extra)
+        rows = list(inst.constraints) + list(extra)
+        a = sys_.a.toarray()
+        for _ in range(4):
+            lb, ub = random_box(rng, sys_)
+            x = rng.uniform(lb, ub)
+            x[sys_.integral] = np.round(x[sys_.integral])
+            act = sys_.a @ x
+            s_lo = np.minimum(a * lb, a * ub).sum(axis=1)
+            s_hi = np.maximum(a * lb, a * ub).sum(axis=1)
+            point = [sum(v * x[i] for i, v in con.coeffs) for con in rows]
+            box_lo = [sum(min(v * lb[i], v * ub[i]) for i, v in con.coeffs) for con in rows]
+            box_hi = [sum(max(v * lb[i], v * ub[i]) for i, v in con.coeffs) for con in rows]
+            for got, lo, hi in (
+                (sys_.rows_failing(act, act), point, point),
+                (sys_.rows_failing(s_lo, s_hi), box_lo, box_hi),
+            ):
+                want = [
+                    j for j, con in enumerate(rows)
+                    if (con.sense != GE and lo[j] > con.rhs + tol) or (con.sense != LE and hi[j] < con.rhs - tol)
+                ]
+                assert sorted(sys_.source[got].tolist()) == want
 
 
 def assert_same_lp(got, ref):
@@ -291,7 +345,7 @@ def test_edge_statuses_agree_with_linprog_and_bb_stops():
         (-1.0, 1.0), (make_constraint([(1, 1.0)], LE, 1.0),), None, {},
     )
     for inst, status in ((infeasible, oracle.INFEASIBLE), (unbounded, "unbounded")):
-        sys_ = oracle._DenseSystem.build(inst)
+        sys_ = oracle._System.build(inst)
         assert oracle._solve_lp(sys_, sys_.lb, sys_.ub).status == status
         assert oracle.lp_relax(inst).status == status
         res = oracle.solve_bb(inst)
@@ -334,7 +388,7 @@ def test_no_lp_means_no_model(ex1, monkeypatch):
     def refuse(sys_):
         raise AssertionError("built an LP model")
 
-    monkeypatch.setattr(oracle, "_HighsLp", refuse)
+    monkeypatch.setattr(oracle, "_highs_model", refuse)
     assert oracle.check_feasible(ex1, X_BASE) == []
     res = oracle.brute_force(ex1)
     assert res.status == oracle.OPTIMAL and res.lp_ms == 0.0
@@ -425,5 +479,7 @@ def test_bb_and_brute_force_without_rows():
 
 
 def test_limits_validate():
-    with pytest.raises(ValueError):
-        oracle.SolveLimits(time_limit_ms=0)
+    # NaN compares False with everything, so only "> 0" rejects it.
+    for limits in ({"time_limit_ms": 0}, {"time_limit_ms": float("nan")}, {"node_limit": 0}):
+        with pytest.raises(ValueError):
+            oracle.SolveLimits(**limits)

@@ -16,6 +16,29 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_only_oracle_imports_private_scipy_modules():
+    # A private scipy module (oracle's scipy.optimize._highspy) may change
+    # in any release; one module holds that dependency.
+    found = []
+    for path in sorted(pathlib.Path(symilp.__file__).parent.glob("*.py")):
+        if path.stem == "oracle":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split("."))
+            ]
+    assert not found, f"private scipy imports outside oracle: {found}"
+
+
 def test_config_fields_are_read():
     # A field that no code reads is a dead knob: setting it changes nothing.
     # Reads inside the class itself (its own validation) do not count.

@@ -369,3 +369,7 @@ def test_train_config_validation():
         train.TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         train.TrainConfig(epochs=1, mode="semi")
+    # A negative lr would run gradient ascent; NaN compares False with everything.
+    for lr in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            train.TrainConfig(epochs=1, lr=lr)
