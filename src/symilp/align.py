@@ -26,7 +26,6 @@ O(q^2) further solves run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -170,16 +169,6 @@ def _lex_refine(w: np.ndarray, best: float, tol: float) -> tuple[pm.Permutation,
     return pm.Permutation(tuple(mapping)), float(w[mapping, range(q)].sum())
 
 
-@cache
-def _group_table(kind: str, q: int) -> np.ndarray:
-    """The cyclic or dihedral group's element mappings, one per row in
-    lexicographic order; built once per (kind, q) and read-only."""
-    group = pm.enumerate_cyclic(q) if kind == pm.CYCLIC else pm.enumerate_dihedral(q)
-    table = np.array(sorted(p.mapping for p in group.elements), dtype=np.intp)
-    table.setflags(write=False)
-    return table
-
-
 def _enumerated_best(w: np.ndarray, table: np.ndarray) -> tuple[pm.Permutation, float]:
     """The table row of least cost on the column cost matrix w, and its
     cost; among rows within the tie tolerance of the least, the first,
@@ -204,4 +193,4 @@ def best_perm(problem: AlignmentProblem) -> tuple[pm.Permutation, float]:
     w = column_loss_matrix(problem.xhat, problem.x, problem.loss)
     if problem.group_kind == pm.SYMMETRIC:
         return hungarian(w)
-    return _enumerated_best(w, _group_table(problem.group_kind, q))
+    return _enumerated_best(w, pm.group_table(problem.group_kind, q))

@@ -94,10 +94,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     out = _data_dir(args.data)
+    limits = _limits(args)
     with open(os.path.join(out, "spec.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
     spec = bench.GenSpec(raw["family"], raw["count"], raw["seed"], raw["params"], raw["perturb"])
-    manifest = bench.build_dataset(spec, out, _limits(args), workers=args.workers)
+    manifest = bench.build_dataset(spec, out, limits, workers=args.workers)
     kept = len(manifest["train"]) + len(manifest["test"])
     print(f"labeled {kept} instances ({len(manifest['dropped'])} dropped)")
     if kept == 0:
@@ -107,7 +108,6 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     data = _data_dir(args.data)
-    fit_samples, val_samples, _ = train.load_dataset(data)
     cfg = train.TrainConfig(
         epochs=args.epochs,
         mode=args.mode,
@@ -119,6 +119,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
         layers=args.layers,
     )
+    fit_samples, val_samples, _ = train.load_dataset(data)
     out = args.out or os.path.join(data, f"run_{args.mode}_s{args.seed}")
     result = train.fit(fit_samples, cfg, val_samples, out_dir=out)
     final = result.curve[-1]
@@ -139,9 +140,10 @@ def _load_test(data: str):
 
 def cmd_eval(args) -> int:
     data = _data_dir(args.data)
+    m_list = [int(m) for m in args.m_list.split(",")]
+    evalx.check_m_list(m_list)
     test_samples = _load_test(data)
     model = net.load_checkpoint(args.checkpoint)
-    m_list = [int(m) for m in args.m_list.split(",")]
     preds = [net.forward(model, s.graph) for s in test_samples]
     records = evalx.evaluate_predictions(test_samples, preds, m_list)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
@@ -155,12 +157,17 @@ def cmd_eval(args) -> int:
 
 def cmd_downstream(args) -> int:
     data = _data_dir(args.data)
+    limits = _limits(args)
+    if args.task == "fix_opt":
+        evalx.check_alpha(args.alpha)
+        param = args.alpha
+    else:
+        evalx.check_beta(args.beta)
+        param = args.beta
     test_samples = _load_test(data)
     model = net.load_checkpoint(args.checkpoint)
-    limits = _limits(args)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out, exist_ok=True)
-    param = args.alpha if args.task == "fix_opt" else args.beta
     rows = []
     exhausted = False
     for s in test_samples:

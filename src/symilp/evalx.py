@@ -65,11 +65,16 @@ def top_m_error(
     return err
 
 
-def _top_m_errors(pred: np.ndarray, tilde: np.ndarray, instance: IlpInstance, m_list) -> list[float]:
-    """top_m_error for each m in m_list, against one already aligned label tilde."""
+def check_m_list(m_list) -> None:
+    """Every top-m% share must lie in (0, 100]."""
     for m in m_list:
         if not 0 < m <= 100:
             raise ValueError(f"m must be in (0, 100], got {m}")
+
+
+def _top_m_errors(pred: np.ndarray, tilde: np.ndarray, instance: IlpInstance, m_list) -> list[float]:
+    """top_m_error for each m in m_list, against one already aligned label tilde."""
+    check_m_list(m_list)
     targets = np.asarray(instance.binary_indices(), dtype=np.intp)
     if targets.size == 0:
         return [0.0] * len(m_list)
@@ -118,6 +123,18 @@ def _confidence_order(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return targets[np.argsort(gap, kind="stable")]
 
 
+def check_alpha(alpha: float) -> None:
+    """fix_and_optimize's share of binaries to pin must lie in [0, 1]."""
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must be in [0,1], got {alpha}")
+
+
+def check_beta(beta: float) -> None:
+    """local_branching's share of binaries that may flip must lie in (0, 1]."""
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must be in (0,1], got {beta}")
+
+
 def fix_and_optimize(
     instance: IlpInstance,
     pred: np.ndarray,
@@ -130,8 +147,7 @@ def fix_and_optimize(
     assignment is proven infeasible, alpha is halved and the solve retried,
     up to five times.
     """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must be in [0,1], got {alpha}")
+    check_alpha(alpha)
     pred = np.asarray(pred, dtype=float)
     targets = np.asarray(instance.binary_indices(), dtype=np.intp)
     ordered = _confidence_order(pred, targets)
@@ -158,8 +174,7 @@ def local_branching(
     linear row sum_{xbar=0} x + sum_{xbar=1} (1 - x) <= radius. beta = 1
     makes the row vacuous.
     """
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must be in (0,1], got {beta}")
+    check_beta(beta)
     pred = np.asarray(pred, dtype=float)
     targets = instance.binary_indices()
     xbar = {i: float(np.round(pred[i])) for i in targets}

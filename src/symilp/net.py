@@ -118,7 +118,7 @@ class TapeForward:
 
     def probs(self) -> np.ndarray:
         """Predicted values in (0,1), one per variable node."""
-        return tape._sigmoid(self.logits.data).reshape(-1)
+        return tape.sigmoid(self.logits.data).reshape(-1)
 
 
 def _messages(p, prefix: str, c: tape.Node, v: tape.Node, graph: BipartiteGraph, to) -> tape.Node:

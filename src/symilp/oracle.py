@@ -10,6 +10,13 @@ the LP solution linprog returns for the same arguments. lp_relax calls
 linprog itself and is the reference for that equivalence. The search layers
 on top (enumeration, depth-first branch and bound with most-fractional
 branching) are deterministic, so repeated runs yield identical labels.
+
+Branch and bound on an instance as posed (no pins, no extra rows) whose
+declared column group passes instance.check_symmetry on a generating set
+closes, without an LP, each node whose box is a group image of a box it has
+fully explored. Such a box holds only images of solutions the search has
+already ruled out, so the incumbents, and with them the label, stay those
+of the search without this step; only the node count falls.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_array, csr_array
 
-from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution
+from . import perm as pm
+from .instance import EQ, FEAS_TOL, GE, LE, IlpInstance, Solution, SymmetryDescriptor, check_symmetry
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,6 +44,9 @@ LP_TOL = 1e-8
 ABS_GAP = 1e-9
 
 BRUTE_FORCE_CAP = 2 ** 24
+# Bound propagation for a twin key stops after this many passes over the
+# rows; only integral bounds that grow without limit need the cap.
+PROPAGATION_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -375,6 +386,154 @@ def _snap_integral(x: np.ndarray, integral: np.ndarray) -> np.ndarray:
     return snapped
 
 
+def _generators(kind: str, q: int) -> tuple[pm.Permutation, ...]:
+    """A generating set of the group: for S_q a transposition and the
+    q-cycle, for C_q one rotation, for D_q a rotation and the reflection."""
+    if kind == pm.SYMMETRIC:
+        return pm.Permutation((1, 0, *range(2, q))), pm.rotation(q)
+    if kind == pm.CYCLIC:
+        return (pm.rotation(q),)
+    return pm.rotation(q), pm.reflection(q)
+
+
+class _Twins:
+    """The boxes a solve has fully explored, each kept as its key, and the
+    node tree that tells when a box is fully explored.
+
+    A key is the box with its integral bounds propagated through the rows,
+    made canonical under the instance's column group. Two boxes with one key
+    are group images of each other up to bounds that no feasible integral
+    point reaches, so they hold the images of the same solutions, with the
+    same objectives. A closed box holds no solution below the incumbent it
+    was explored against, hence neither does a twin of it: skipping the twin
+    leaves every incumbent, and so the label, as it was.
+    """
+
+    def __init__(self, sys_: _System, desc: SymmetryDescriptor):
+        self.sys = sys_
+        self.grid = desc.grid_array()
+        outside = np.ones(sys_.c.size, dtype=bool)
+        outside[self.grid] = False
+        self.outside = np.flatnonzero(outside)
+        self.table = None if desc.kind == pm.SYMMETRIC else pm.group_table(desc.kind, desc.q)
+        # The rows' nonzero entries in CSC order, each with its row and
+        # column; the same for the entries in integral columns, and where
+        # each such column's entries start.
+        a = sys_.a
+        cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+        nonzero = a.data != 0
+        self.rows, self.cols, self.vals = a.indices[nonzero], cols[nonzero], a.data[nonzero]
+        ent = np.flatnonzero(sys_.integral[self.cols])
+        self.int_ent, self.int_rows, self.int_vals = ent, self.rows[ent], self.vals[ent]
+        per_col = np.bincount(self.cols[ent], minlength=a.shape[1])
+        self.int_cols = np.flatnonzero(per_col)
+        self.int_starts = np.cumsum(per_col[self.int_cols]) - per_col[self.int_cols]
+        self.closed: set[bytes] = set()
+        # Node 0 is the root; every node records its parent, its number of
+        # open children and its key.
+        self.parent, self.open, self.keys = [-1], [0], [None]
+
+    @classmethod
+    def certify(cls, instance: IlpInstance, sys_: _System) -> "_Twins | None":
+        """Twin pruning for the instance, or None when a generator of its
+        declared group fails instance.check_symmetry."""
+        desc = instance.symmetry
+        if all(check_symmetry(instance, g) for g in _generators(desc.kind, desc.q)):
+            return cls(sys_, desc)
+        return None
+
+    def branch(self, node: int) -> tuple[int, int]:
+        """Ids of the node's two new children."""
+        first = len(self.parent)
+        self.open[node] = 2
+        self.parent += [node, node]
+        self.open += [0, 0]
+        self.keys += [None, None]
+        return first, first + 1
+
+    def is_twin(self, node: int, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Record the node's key; True when a closed box has the same key.
+
+        A box that propagation proves to hold no integral point has no key
+        and still gets its LP, as without this step: closing it early would
+        move a node-limited search onto other nodes."""
+        key = self.canonical_key(lb, ub)
+        self.keys[node] = key
+        return key is not None and key in self.closed
+
+    def close(self, node: int) -> None:
+        """Close the node, and each ancestor whose last open child it was."""
+        while True:
+            if self.keys[node] is not None:
+                self.closed.add(self.keys[node])
+            node = self.parent[node]
+            if node < 0:
+                return
+            self.open[node] -= 1
+            if self.open[node]:
+                return
+
+    def canonical_key(self, lb: np.ndarray, ub: np.ndarray) -> bytes | None:
+        """One key for the box and all its group images, or None when
+        propagation proves that the box holds no integral point. The grid's
+        (lb, ub) columns are sorted for a symmetric group and taken at the
+        lexicographically least element of a cyclic or dihedral one; the
+        bounds outside the grid follow as they are."""
+        box = self.propagate(lb, ub)
+        if box is None:
+            return None
+        lb, ub = box
+        cols = np.concatenate([lb[self.grid], ub[self.grid]])  # one column per grid column
+        if self.table is None:
+            canon = cols[:, np.lexsort(cols[::-1])]
+        else:
+            images = cols.T[self.table].reshape(len(self.table), -1)
+            canon = images[np.lexsort(images.T[::-1])[0]]
+        return canon.tobytes() + lb[self.outside].tobytes() + ub[self.outside].tobytes()
+
+    def propagate(self, lb: np.ndarray, ub: np.ndarray):
+        """The box with its integral bounds tightened by the rows' activity
+        bounds, or None when a row or a bound shows that it holds no
+        integral point. Each row is relaxed by FEAS_TOL and each implied
+        bound rounded with FEAS_TOL to spare, so no integral point that
+        meets every row at FEAS_TOL is cut off. Continuous bounds stay as
+        they are: branching never moves them."""
+        sys_, rows, cols, vals = self.sys, self.rows, self.cols, self.vals
+        m, ent, r, idx = sys_.row_upper.size, self.int_ent, self.int_rows, self.int_cols
+        row_upper, row_lower = sys_.row_upper[r] + FEAS_TOL, sys_.row_lower[r] - FEAS_TOL
+        pos = self.int_vals > 0
+        lb, ub = lb + 0.0, ub + 0.0  # copies, with any -0.0 turned into 0.0
+        for _ in range(PROPAGATION_PASSES):
+            at_lb, at_ub = vals * lb[cols], vals * ub[cols]
+            lo, hi = np.minimum(at_lb, at_ub), np.maximum(at_lb, at_ub)
+            lo_inf, hi_inf = lo == -np.inf, hi == np.inf
+            lo_fin, hi_fin = np.where(lo_inf, 0.0, lo), np.where(hi_inf, 0.0, hi)
+            n_lo_inf, n_hi_inf = np.bincount(rows, lo_inf, m), np.bincount(rows, hi_inf, m)
+            lo_sum, hi_sum = np.bincount(rows, lo_fin, m), np.bincount(rows, hi_fin, m)
+            if sys_.rows_failing(
+                np.where(n_lo_inf > 0, -np.inf, lo_sum), np.where(n_hi_inf > 0, np.inf, hi_sum)
+            ).size:
+                return None
+            with np.errstate(invalid="ignore", over="ignore"):
+                # The activity bounds of each entry's row without the entry,
+                # then the bounds vals * x <= up and vals * x >= down.
+                up = row_upper - np.where(n_lo_inf[r] == lo_inf[ent], lo_sum[r] - lo_fin[ent], -np.inf)
+                down = row_lower - np.where(n_hi_inf[r] == hi_inf[ent], hi_sum[r] - hi_fin[ent], np.inf)
+                imp_ub = np.where(pos, up, down) / self.int_vals
+                imp_lb = np.where(pos, down, up) / self.int_vals
+            # fmin and fmax pass over a NaN bound, which bounds nothing.
+            new_ub = np.floor(np.fmin.reduceat(imp_ub, self.int_starts) + FEAS_TOL)
+            new_lb = np.ceil(np.fmax.reduceat(imp_lb, self.int_starts) - FEAS_TOL) + 0.0
+            tighter_ub, tighter_lb = new_ub < ub[idx], new_lb > lb[idx]
+            if not (tighter_ub.any() or tighter_lb.any()):
+                break
+            ub[idx] = np.where(tighter_ub, new_ub, ub[idx])
+            lb[idx] = np.where(tighter_lb, new_lb, lb[idx])
+            if np.any(lb[idx] > ub[idx]):
+                return None
+        return lb, ub
+
+
 def solve_bb(
     instance: IlpInstance,
     limits: SolveLimits = SolveLimits(),
@@ -384,11 +543,19 @@ def solve_bb(
     """Depth-first branch and bound with LP bounds.
 
     Branching picks the integral variable whose LP value is farthest from an
-    integer (ties to the lowest index); the floor child is explored first.
-    `fixed` pre-pins variables (partial assignments from repair heuristics),
-    `extra_constraints` appends rows such as a Hamming-ball cut. The status
-    is UNBOUNDED when a node whose integral variables are all fixed has an
-    unbounded LP.
+    integer (ties to the lowest index); the child toward the nearer integer
+    is explored first. `fixed` pre-pins variables (partial assignments from
+    repair heuristics), `extra_constraints` appends rows such as a
+    Hamming-ball cut. The status is UNBOUNDED when a node whose integral
+    variables are all fixed has an unbounded LP.
+
+    When the instance is solved as posed (no pins, no extra rows) and its
+    descriptor's group (q >= 2) passes instance.check_symmetry on a
+    generating set, checked once at the first branching, a node whose box
+    is a group image of a fully explored one is closed without an LP, and
+    counts as one node (see _Twins). Such a box holds no solution below the
+    incumbent, so the incumbents, the label and the LP of every node solved
+    are those of the search without this step.
     """
     sys_ = _System.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -400,6 +567,9 @@ def solve_bb(
             if val < lb0[idx] - FEAS_TOL or val > ub0[idx] + FEAS_TOL:
                 return SolveResult(INFEASIBLE, None, np.inf, 0, 0.0)
             lb0[idx] = ub0[idx] = round(val) if sys_.integral[idx] else val
+    desc = instance.symmetry
+    as_posed = desc is not None and desc.q >= 2 and not fixed and not extra_constraints
+    twins: _Twins | None = None
 
     t0 = time.perf_counter()
     deadline = t0 + limits.time_limit_ms / 1e3
@@ -407,71 +577,73 @@ def solve_bb(
     incumbent_obj = np.inf
     incumbent: np.ndarray | None = None
     tie_pool: list[np.ndarray] = []
-    # Stack entries: (lb, ub, inherited parent bound).
-    stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, -np.inf)]
+    # Stack entries: (lb, ub, inherited parent bound, node id in twins).
+    stack: list[tuple[np.ndarray, np.ndarray, float, int]] = [(lb0, ub0, -np.inf, 0)]
     limit_hit = unbounded = False
 
     while stack:
         if nodes >= limits.node_limit or time.perf_counter() > deadline:
             limit_hit = True
             break
-        lb, ub, parent_bound = stack.pop()
+        lb, ub, parent_bound, node = stack.pop()
         if incumbent is not None and parent_bound >= incumbent_obj - ABS_GAP:
+            if twins:
+                twins.close(node)
             continue
         nodes += 1
-        res = _solve_lp(sys_, lb, ub)
-        if res.status == INFEASIBLE:
+        if twins and twins.is_twin(node, lb, ub):
+            twins.close(node)
             continue
+        children = ()
+        res = _solve_lp(sys_, lb, ub)
         if res.status in (UNBOUNDED, "error"):
             # No usable bound; branch on the first open integral variable.
             bound = -np.inf
             open_vars = [
                 i for i in np.flatnonzero(sys_.integral) if lb[i] < ub[i] - 0.5
             ]
-            if not open_vars:
-                if res.status == UNBOUNDED:
-                    # Every integral variable is fixed and the LP over the
-                    # rest has no lower bound, so neither has the problem.
-                    unbounded = True
-                    break
-                continue
-            v = open_vars[0]
-            mid = np.floor((lb[v] + ub[v]) / 2)
-            for new_lb, new_ub in (
-                (_with(lb, v, mid + 1), ub),
-                (lb, _with(ub, v, mid)),
-            ):
-                stack.append((new_lb, new_ub, bound))
+            if not open_vars and res.status == UNBOUNDED:
+                # Every integral variable is fixed and the LP over the
+                # rest has no lower bound, so neither has the problem.
+                unbounded = True
+                break
+            if open_vars:
+                v = open_vars[0]
+                mid = np.floor((lb[v] + ub[v]) / 2)
+                children = ((_with(lb, v, mid + 1), ub), (lb, _with(ub, v, mid)))
+        elif res.status == OPTIMAL and (incumbent is None or res.value < incumbent_obj - ABS_GAP):
+            bound = res.value
+            x = res.x
+            frac = np.abs(x - np.round(x))
+            frac[~sys_.integral] = 0.0
+            v = int(np.argmax(frac))
+            if frac[v] <= INT_TOL:
+                cand = _snap_integral(x, sys_.integral)
+                # Snapping may nudge the point; re-verify its bounds and every
+                # row, the extra rows included, before accepting.
+                act = sys_.a @ cand
+                in_bounds = np.all(cand >= sys_.lb - FEAS_TOL) and np.all(cand <= sys_.ub + FEAS_TOL)
+                if in_bounds and not sys_.rows_failing(act, act).size:
+                    obj = float(np.dot(sys_.c, cand))
+                    if obj < incumbent_obj - ABS_GAP:
+                        incumbent_obj, incumbent = obj, cand
+                        tie_pool = [cand]
+                    elif abs(obj - incumbent_obj) <= ABS_GAP:
+                        tie_pool.append(cand)
+            else:
+                f = x[v]
+                down = (lb, _with(ub, v, np.floor(f)))
+                up = (_with(lb, v, np.floor(f) + 1), ub)
+                # Dive toward the nearer integer first; finds incumbents earlier.
+                children = (down, up) if f - np.floor(f) >= 0.5 else (up, down)
+        if not children:
+            if twins:
+                twins.close(node)
             continue
-        bound = res.value
-        if incumbent is not None and bound >= incumbent_obj - ABS_GAP:
-            continue
-        x = res.x
-        frac = np.abs(x - np.round(x))
-        frac[~sys_.integral] = 0.0
-        v = int(np.argmax(frac))
-        if frac[v] <= INT_TOL:
-            cand = _snap_integral(x, sys_.integral)
-            # Snapping may nudge the point; re-verify its bounds and every
-            # row, the extra rows included, before accepting.
-            act = sys_.a @ cand
-            in_bounds = np.all(cand >= sys_.lb - FEAS_TOL) and np.all(cand <= sys_.ub + FEAS_TOL)
-            if in_bounds and not sys_.rows_failing(act, act).size:
-                obj = float(np.dot(sys_.c, cand))
-                if obj < incumbent_obj - ABS_GAP:
-                    incumbent_obj, incumbent = obj, cand
-                    tie_pool = [cand]
-                elif abs(obj - incumbent_obj) <= ABS_GAP:
-                    tie_pool.append(cand)
-            continue
-        f = x[v]
-        down = (lb, _with(ub, v, np.floor(f)), bound)
-        up = (_with(lb, v, np.floor(f) + 1), ub, bound)
-        # Dive toward the nearer integer first; finds incumbents earlier.
-        if f - np.floor(f) >= 0.5:
-            stack.extend((down, up))
-        else:
-            stack.extend((up, down))
+        if as_posed:
+            twins, as_posed = _Twins.certify(instance, sys_), False
+        ids = twins.branch(node) if twins else (0, 0)
+        stack.extend((c_lb, c_ub, bound, i) for (c_lb, c_ub), i in zip(children, ids))
 
     wall = (time.perf_counter() - t0) * 1e3
     if incumbent is not None and tie_pool:

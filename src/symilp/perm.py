@@ -9,6 +9,7 @@ vector one slot to the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as _all_permutations
 
 import numpy as np
@@ -126,3 +127,13 @@ def enumerate_symmetric(q: int) -> GroupElements:
         )
     elements = tuple(Permutation(p) for p in _all_permutations(range(q)))
     return GroupElements(SYMMETRIC, q, elements)
+
+
+@cache
+def group_table(kind: str, q: int) -> np.ndarray:
+    """The cyclic or dihedral group's element mappings, one per row in
+    lexicographic order; built once per (kind, q) and read-only."""
+    group = enumerate_cyclic(q) if kind == CYCLIC else enumerate_dihedral(q)
+    table = np.array(sorted(p.mapping for p in group.elements), dtype=np.intp)
+    table.setflags(write=False)
+    return table

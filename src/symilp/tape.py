@@ -107,7 +107,7 @@ def relu(a: Node) -> Node:
     return Node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: exp only ever sees a non-positive argument.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -148,13 +148,13 @@ def bce_with_logits_mean(logits: Node, rows, target: np.ndarray) -> Node:
     z = logits.data[rows]
     count = max(1, z.size)
     loss = np.sum(np.logaddexp(0.0, z) - target * z) / count
-    sig = _sigmoid(z)
+    sig = sigmoid(z)
     return _rows_loss(logits, rows, loss, lambda g: g * (sig - target) / count)
 
 
 def sigmoid_se_mean(logits: Node, rows, target: np.ndarray) -> Node:
     """Mean squared error of sigmoid(logits[rows]) against a constant target."""
-    out = _sigmoid(logits.data[rows])
+    out = sigmoid(logits.data[rows])
     diff = out - target
     count = max(1, diff.size)
     loss = np.sum(diff * diff) / count

@@ -237,7 +237,7 @@ def test_enumerated_groups_are_built_once_per_degree(monkeypatch):
 
     for name in ("enumerate_cyclic", "enumerate_dihedral"):
         monkeypatch.setattr(pm, name, counted(name))
-    align._group_table.cache_clear()
+    pm.group_table.cache_clear()
     rng = np.random.default_rng(11)
     for _ in range(3):
         for kind in (pm.CYCLIC, pm.DIHEDRAL):

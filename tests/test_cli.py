@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from symilp import cli
+from symilp import cli, net, train
 
 
 def run(argv):
@@ -235,6 +235,34 @@ def test_bad_settings_exit_2_before_any_output(pipeline_dir, tmp_path, capsys):
         assert run(["train", pipeline_dir, "--lr", lr, "--epochs", "1", "--out", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: lr must be positive and finite")
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "{missing}", "--lr", "-1"], "error: lr must be positive and finite"),
+        (["train", "{data}", "--epochs", "0"], "error: epochs, inner_steps and batch_size"),
+        (["downstream", "{data}", "--task", "fix_opt", "--alpha", "2"], "error: alpha must be in [0,1]"),
+        (["downstream", "{data}", "--task", "fix_opt", "--alpha", "nan"], "error: alpha must be in [0,1]"),
+        (["downstream", "{data}", "--task", "local_branch", "--beta", "0"], "error: beta must be in (0,1]"),
+        (["downstream", "{data}", "--task", "local_branch", "--time-limit-ms", "nan"], "error: limits must be positive"),
+        (["downstream", "{missing}", "--task", "fix_opt", "--node-limit", "0"], "error: limits must be positive"),
+        (["eval", "{data}", "--m-list", "10,0"], "error: m must be in (0, 100]"),
+    ],
+)
+def test_settings_are_checked_before_any_read_or_write(pipeline_dir, tmp_path, monkeypatch, capsys, argv, message):
+    def never(*_):
+        raise AssertionError("read data before checking the settings")
+
+    monkeypatch.setattr(train, "load_dataset", never)
+    monkeypatch.setattr(net, "load_checkpoint", never)
+    out = tmp_path / "out"
+    argv = [a.format(data=pipeline_dir, missing=tmp_path / "missing") for a in argv]
+    if argv[0] != "train":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    assert run([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, monkeypatch):

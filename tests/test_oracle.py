@@ -16,11 +16,15 @@ from symilp.bench import (
 )
 from symilp.instance import (
     EQ,
+    FEAS_TOL,
     GE,
     LE,
     IlpInstance,
+    SymmetryDescriptor,
     Variable,
+    check_symmetry,
     make_constraint,
+    permute_values,
 )
 
 X_BASE = [1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0]
@@ -483,3 +487,214 @@ def test_limits_validate():
     for limits in ({"time_limit_ms": 0}, {"time_limit_ms": float("nan")}, {"node_limit": 0}):
         with pytest.raises(ValueError):
             oracle.SolveLimits(**limits)
+
+
+# ---------------------------------------------------------------------------
+# Twin pruning: branch and bound under a certified column group
+
+
+def as_group(inst, kind):
+    """The instance with its grid declared under another group kind."""
+    return dataclasses.replace(inst, symmetry=SymmetryDescriptor(kind, inst.symmetry.grid))
+
+
+def with_outside_pair(inst):
+    """The instance plus two binaries outside the grid, with 2v + 2w <= 3 and
+    a small reward: branching on them leaves the grid's bounds as they were."""
+    n = inst.num_vars
+    variables = inst.vars + (Variable(0.0, 1.0, "binary", n), Variable(0.0, 1.0, "binary", n + 1))
+    rows = inst.constraints + (make_constraint([(n, 2.0), (n + 1, 2.0)], LE, 3.0),)
+    return dataclasses.replace(inst, vars=variables, objective=inst.objective + (-0.1, -0.11), constraints=rows)
+
+
+def symmetric_instances():
+    """Small instances of all five families, binpack under each group kind
+    (S_q contains C_q and D_q, so those declarations certify too), and
+    binpack with variables outside the grid."""
+    binpack = [gen_binpack(5, 3, 6, (1, 3), s) for s in range(3)] + [gen_binpack(4, 4, 5, (1, 3), 2)]
+    return [
+        *binpack,
+        with_outside_pair(binpack[1]),
+        *[as_group(inst, kind) for inst in binpack for kind in (pm.CYCLIC, pm.DIHEDRAL)],
+        *[gen_item_placement(4, 3, 1, s) for s in range(3)],
+        *[gen_smsp(3, 2, 2, s) for s in range(2)],
+        gen_pesp(3, 3, 4, 1),
+        gen_pesp(3, 2, 5, 2),
+        gen_golomb(3, 6),
+        gen_golomb(3, 7),
+    ]
+
+
+def same_result(a, b, nodes=True):
+    assert (a.status, a.solution, a.bound) == (b.status, b.solution, b.bound)
+    if nodes:
+        assert a.nodes == b.nodes
+
+
+def test_twin_pruning_keeps_every_result_with_no_more_nodes():
+    pruned = set()
+    for inst in symmetric_instances():
+        got = oracle.solve_bb(inst)
+        plain = oracle.solve_bb(dataclasses.replace(inst, symmetry=None))
+        same_result(got, plain, nodes=False)
+        assert got.nodes <= plain.nodes, inst.name
+        assert got.solution.objective == pytest.approx(oracle.brute_force(inst).solution.objective, abs=1e-9)
+        if got.nodes < plain.nodes:
+            pruned.add(inst.symmetry.kind)
+    assert pruned == set(pm.GROUP_KINDS)
+
+
+def random_element(rng, kind, q):
+    if kind == pm.SYMMETRIC:
+        return pm.Permutation(tuple(int(i) for i in rng.permutation(q)))
+    table = pm.group_table(kind, q)
+    return pm.Permutation(tuple(int(i) for i in table[rng.integers(len(table))]))
+
+
+def random_integral_box(rng, sys_, share=0.3):
+    """The system's bounds with a random share of the integral variables fixed."""
+    lb, ub = sys_.lb.copy(), sys_.ub.copy()
+    for i in np.flatnonzero(sys_.integral):
+        if rng.random() < share:
+            lb[i] = ub[i] = rng.integers(lb[i], ub[i] + 1)
+    return lb, ub
+
+
+def test_canonical_key_is_one_per_orbit():
+    rng = np.random.default_rng(21)
+    for inst in [gen_item_placement(4, 5, 2, 3), gen_smsp(4, 3, 2, 1), gen_pesp(4, 5, 4, 1), gen_golomb(3, 8),
+                 as_group(gen_binpack(6, 4, 6, (1, 3), 0), pm.DIHEDRAL)]:
+        sys_ = oracle._System.build(inst)
+        twins = oracle._Twins(sys_, inst.symmetry)
+        keyed = 0
+        for _ in range(40):
+            lb, ub = random_integral_box(rng, sys_, share=float(rng.uniform(0.05, 0.4)))
+            p = random_element(rng, inst.symmetry.kind, inst.symmetry.q)
+            key = twins.canonical_key(lb, ub)
+            image = permute_values(inst.symmetry, p, lb), permute_values(inst.symmetry, p, ub)
+            assert twins.canonical_key(*image) == key, inst.name
+            keyed += key is not None
+        assert keyed >= 10, inst.name
+    # Item 0 in bin 0, against item 0 in bin 0 and item 1 in bin 1: no
+    # column permutation maps one box onto the other.
+    inst = gen_item_placement(4, 5, 2, 3)
+    sys_ = oracle._System.build(inst)
+    twins = oracle._Twins(sys_, inst.symmetry)
+    lb = sys_.lb.copy()
+    lb[0] = 1.0
+    other = lb.copy()
+    other[6] = 1.0
+    keys = twins.canonical_key(lb, sys_.ub), twins.canonical_key(other, sys_.ub)
+    assert None not in keys and keys[0] != keys[1]
+
+
+def integral_points(lb, ub):
+    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(lb, ub)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1).astype(float)
+
+
+def general_integer_instance(rng):
+    """Integer variables in [-2, 2] under random rows of every sense; the
+    identity grid of degree 2 makes _Twins applicable."""
+    n = 4
+    variables = tuple(Variable(-2.0, 2.0, "integer", i) for i in range(n))
+    rows = []
+    for _ in range(3):
+        idx = rng.choice(n, size=3, replace=False)
+        coeffs = [(int(i), float(rng.uniform(-3, 3))) for i in idx]
+        rows.append(make_constraint(coeffs, (LE, GE, EQ)[int(rng.integers(0, 2))], float(rng.uniform(-2, 2))))
+    point = rng.integers(-2, 3, size=n)
+    coeffs = [(i, float(rng.integers(1, 4))) for i in range(n)]
+    rows.append(make_constraint(coeffs, EQ, float(sum(v * point[i] for i, v in coeffs))))
+    return IlpInstance("ints", variables, (0.0,) * n, tuple(rows), SymmetryDescriptor(pm.SYMMETRIC, ((0, 1),)), {})
+
+
+def test_propagation_keeps_every_feasible_integral_point():
+    rng = np.random.default_rng(22)
+    # x0 = x1 = 1 misses the row by 5e-7, inside FEAS_TOL, so it is feasible.
+    knife_edge = IlpInstance(
+        "edge", tuple(Variable(0.0, 1.0, "binary", i) for i in range(2)), (0.0, 0.0),
+        (make_constraint([(0, 1e-3), (1, 1e-3)], LE, 1.9995e-3),), SymmetryDescriptor(pm.SYMMETRIC, ((0, 1),)), {},
+    )
+    assert oracle.check_feasible(knife_edge, [1.0, 1.0]) == []
+    instances = [knife_edge, gen_binpack(3, 2, 4, (1, 3), 0), gen_smsp(2, 2, 2, 0), gen_golomb(3, 5)]
+    instances += [general_integer_instance(rng) for _ in range(6)]
+    checked = tightened = 0
+    for inst in instances:
+        sys_ = oracle._System.build(inst)
+        twins = oracle._Twins(sys_, inst.symmetry)
+        for _ in range(15):
+            lb, ub = random_integral_box(rng, sys_)
+            points = integral_points(lb, ub)
+            # check_feasible's row test at FEAS_TOL, for all points at once.
+            act = (sys_.a @ points.T).T
+            feasible = points[~((act > sys_.row_upper + FEAS_TOL) | (act < sys_.row_lower - FEAS_TOL)).any(axis=1)]
+            box = twins.propagate(lb, ub)
+            if box is None:
+                assert not feasible.size, inst.name
+                continue
+            assert np.all(box[0] >= lb) and np.all(box[1] <= ub)
+            tightened += bool(np.any(box[0] > lb) or np.any(box[1] < ub))
+            for x in feasible:
+                assert np.all(x >= box[0]) and np.all(x <= box[1]), inst.name
+            checked += len(feasible)
+    assert checked > 0 and tightened > 0
+
+
+def test_propagation_through_infinite_bounds_stays_finite_and_quiet():
+    # x0 integer in [0, 5]; x1 free continuous; x0 + x1 <= 3 and x0 - x1 <= 1
+    # bound nothing, since x1 is unbounded both ways. x0 <= 2 does, and the
+    # free column must not turn any activity bound into NaN.
+    variables = (
+        Variable(0.0, 5.0, "integer", 0), Variable(-np.inf, np.inf, "continuous", 1),
+        Variable(0.0, 5.0, "integer", 2),
+    )
+    rows = (
+        make_constraint([(0, 1.0), (1, 1.0)], LE, 3.0),
+        make_constraint([(0, 1.0), (1, -1.0)], LE, 1.0),
+        make_constraint([(0, 1.0), (2, 1.0)], LE, 2.0),
+    )
+    inst = IlpInstance("free", variables, (0.0, 0.0, 0.0), rows, SymmetryDescriptor(pm.SYMMETRIC, ((0, 2),)), {})
+    sys_ = oracle._System.build(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lb, ub = oracle._Twins(sys_, inst.symmetry).propagate(sys_.lb, sys_.ub)
+    assert lb.tolist() == [0.0, -np.inf, 0.0]
+    assert ub.tolist() == [2.0, np.inf, 2.0]
+
+
+def test_an_uncertified_group_solves_as_without_a_descriptor():
+    # Bins of unequal cost break S_3: with costs (1, 1, 2) the transposition
+    # of bins 0 and 1 certifies but the 3-cycle does not.
+    for costs in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0)):
+        for seed in range(3):
+            inst = gen_binpack(5, 3, 6, (1, 3), seed)
+            inst = dataclasses.replace(inst, objective=costs + inst.objective[3:])
+            assert not all(check_symmetry(inst, g) for g in oracle._generators(pm.SYMMETRIC, 3))
+            same_result(oracle.solve_bb(inst), oracle.solve_bb(dataclasses.replace(inst, symmetry=None)))
+
+
+def test_pins_and_extra_rows_solve_as_without_a_descriptor():
+    rng = np.random.default_rng(23)
+    for inst in [gen_binpack(5, 3, 6, (1, 3), s) for s in range(3)] + [gen_item_placement(4, 5, 2, 1)]:
+        plain = dataclasses.replace(inst, symmetry=None)
+        binaries = inst.binary_indices()
+        fixed = {int(i): 0.0 for i in rng.choice(binaries, size=2, replace=False)}
+        same_result(oracle.solve_bb(inst, fixed=fixed), oracle.solve_bb(plain, fixed=fixed))
+        center = rng.integers(0, 2, size=inst.num_vars)
+        ball = (hamming_ball(inst, center, len(binaries) // 2),)
+        same_result(oracle.solve_bb(inst, extra_constraints=ball), oracle.solve_bb(plain, extra_constraints=ball))
+
+
+def test_cut_short_symmetric_solves_sandwich_the_optimum():
+    # As in test_bb_agrees_with_brute_force_on_random_instances, on solves
+    # that prune twins.
+    for inst in [gen_binpack(5, 3, 6, (1, 3), 1), gen_item_placement(4, 3, 1, 2),
+                 as_group(gen_binpack(4, 4, 5, (1, 3), 2), pm.CYCLIC)]:
+        z = oracle.brute_force(inst).solution.objective
+        full = oracle.solve_bb(inst)
+        for k in range(1, full.nodes):
+            cut = oracle.solve_bb(inst, oracle.SolveLimits(node_limit=k))
+            assert cut.status == oracle.LIMIT_REACHED and cut.nodes == k
+            assert cut.bound <= z + 1e-6, (inst.name, k)
+            assert cut.solution is None or cut.solution.objective >= z - 1e-6, (inst.name, k)

@@ -39,6 +39,33 @@ def test_only_oracle_imports_private_scipy_modules():
     assert not found, f"private scipy imports outside oracle: {found}"
 
 
+def test_no_module_reads_another_modules_private_names():
+    # A leading underscore marks a name as its module's own; another module
+    # that reads it couples to an implementation detail.
+    modules = {path.stem for path in pathlib.Path(symilp.__file__).parent.glob("*.py")}
+    found = []
+    for path in sorted(pathlib.Path(symilp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.module in modules and alias.name.startswith("_"):
+                        found.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, path.stem) != path.stem
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.append(f"{path.name}:{node.lineno} {aliases[node.value.id]}.{node.attr}")
+    assert not found, f"private names read across modules: {found}"
+
+
 def test_config_fields_are_read():
     # A field that no code reads is a dead knob: setting it changes nothing.
     # Reads inside the class itself (its own validation) do not count.
@@ -111,7 +138,6 @@ def test_traced_span_targets_resolve():
 
 # Names that nothing in the package reads, kept for a stated contract.
 KEPT_UNREFERENCED = {
-    "instance.check_symmetry": "acceptance criterion 3",
     "instance.apply_solution_permutation": "acceptance criterion 3",
     "net.sample_loss": "acceptance criterion 4",
     "train.risk_symaware": "acceptance criterion 5",
