@@ -200,22 +200,28 @@ def cmd_downstream(args) -> int:
 
 
 def cmd_report(args) -> int:
-    def read_gaps(path):
+    def read(path):
+        """A downstream CSV's (tasks, params, instances), and its gaps."""
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
+        tasks, params = {r["task"] for r in rows}, {r["param"] for r in rows}
+        if len(tasks) > 1 or len(params) > 1:
+            raise ConfigError(f"{path} holds more than one task or parameter")
         gaps = [float(r["gap"]) for r in rows if r["gap"] != ""]
-        task = rows[0]["task"] if rows else ""
-        return task, gaps
+        return (tasks, params, [r["instance"] for r in rows]), gaps
 
-    task_c, gaps_c = read_gaps(args.classic)
-    task_s, gaps_s = read_gaps(args.symaware)
+    run_c, gaps_c = read(args.classic)
+    run_s, gaps_s = read(args.symaware)
+    if run_c != run_s:
+        raise ConfigError("the downstream CSVs differ in task, parameter or instances")
     if not gaps_c or not gaps_s:
         raise ConfigError("downstream CSVs contain no gaps")
+    (task,) = run_c[0]  # read allows at most one, and a gap needs a row
     gamma_r = float(np.mean(gaps_c))
     gamma_rs = float(np.mean(gaps_s))
     g = evalx.gain(gamma_r, gamma_rs)
     summary = {
-        "task": task_c or task_s,
+        "task": task,
         "gap_classic": gamma_r,
         "gap_symaware": gamma_rs,
         "gain": g,

@@ -28,8 +28,6 @@ GAP_EPS = 1e-10
 class MetricsRecord:
     name: str
     top_m: dict[int, float]
-    gap: float | None
-    wall_ms: float
 
 
 def nearest_equivalent(pred: np.ndarray, label: np.ndarray, instance: IlpInstance) -> np.ndarray:
@@ -204,18 +202,16 @@ def evaluate_predictions(
         pred = np.asarray(pred, dtype=float)
         tilde = nearest_equivalent(pred, sample.label, sample.instance)
         errs = _top_m_errors(pred, tilde, sample.instance, m_list)
-        records.append(MetricsRecord(sample.name, dict(zip(map(int, m_list), errs)), None, 0.0))
+        records.append(MetricsRecord(sample.name, dict(zip(map(int, m_list), errs))))
     return records
 
 
 def write_metrics_csv(path: str, records, m_list=DEFAULT_M_LIST) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["instance"] + [f"top{int(m)}" for m in m_list] + ["gap", "wall_ms"])
+        writer.writerow(["instance"] + [f"top{int(m)}" for m in m_list])
         for r in records:
-            row = [r.name] + [repr(r.top_m[int(m)]) for m in m_list]
-            row += ["" if r.gap is None else repr(r.gap), f"{r.wall_ms:.1f}"]
-            writer.writerow(row)
+            writer.writerow([r.name] + [repr(r.top_m[int(m)]) for m in m_list])
 
 
 def write_summary_json(path: str, records, m_list=DEFAULT_M_LIST) -> dict:
@@ -224,10 +220,6 @@ def write_summary_json(path: str, records, m_list=DEFAULT_M_LIST) -> dict:
         vals = np.asarray([r.top_m[int(m)] for r in records])
         summary[f"top{int(m)}_mean"] = float(vals.mean())
         summary[f"top{int(m)}_std"] = float(vals.std())
-    gaps = [r.gap for r in records if r.gap is not None]
-    if gaps:
-        summary["gap_mean"] = float(np.mean(gaps))
-        summary["gap_std"] = float(np.std(gaps))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")

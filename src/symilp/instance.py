@@ -216,34 +216,40 @@ def _canonical_rows(constraints, sigma: np.ndarray) -> list[tuple]:
     return rows
 
 
-def check_symmetry(instance: IlpInstance, p: pm.Permutation) -> bool:
-    """Syntactic symmetry certificate for a group element.
+def check_symmetry(instance: IlpInstance, *perms: pm.Permutation) -> bool:
+    """Syntactic symmetry certificate for one or more group elements.
 
-    True iff permuting the grid columns (a) leaves the objective vector
-    unchanged, (b) leaves variable bounds and integrality marks unchanged,
-    and (c) maps the constraint-row multiset onto itself. This is sufficient
-    for the permutation to map the feasible set onto itself with equal
-    objective values.
+    True iff permuting the grid columns by each element (a) leaves the
+    objective vector unchanged, (b) leaves variable bounds and integrality
+    marks unchanged, and (c) maps the constraint-row multiset onto itself.
+    This is sufficient for the element to map the feasible set onto itself
+    with equal objective values; passing a generating set certifies the
+    whole group. The identity's canonical rows are built once per call.
     """
     desc = instance.symmetry
     if desc is None:
         raise ValueError(f"instance {instance.name!r} has no symmetry descriptor")
-    if p.degree != desc.q:
-        raise ValueError(f"permutation degree {p.degree} != group degree {desc.q}")
+    if not perms:
+        raise ValueError("no group element given")
+    for p in perms:
+        if p.degree != desc.q:
+            raise ValueError(f"permutation degree {p.degree} != group degree {desc.q}")
     n = instance.num_vars
-    sigma = _induced_variable_map(desc, p, n)
-
     obj = np.asarray(instance.objective)
-    if not np.array_equal(obj[sigma], obj):
-        return False
-    for i in range(n):
-        a, b = instance.vars[i], instance.vars[int(sigma[i])]
-        if (a.lb, a.ub, a.kind) != (b.lb, b.ub, b.kind):
+    identity_rows = None
+    for p in perms:
+        sigma = _induced_variable_map(desc, p, n)
+        if not np.array_equal(obj[sigma], obj):
             return False
-
-    return _canonical_rows(instance.constraints, sigma) == _canonical_rows(
-        instance.constraints, np.arange(n)
-    )
+        for i in range(n):
+            a, b = instance.vars[i], instance.vars[int(sigma[i])]
+            if (a.lb, a.ub, a.kind) != (b.lb, b.ub, b.kind):
+                return False
+        if identity_rows is None:
+            identity_rows = _canonical_rows(instance.constraints, np.arange(n))
+        if _canonical_rows(instance.constraints, sigma) != identity_rows:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ branching) are deterministic, so repeated runs yield identical labels.
 Branch and bound on an instance as posed (no pins, no extra rows) whose
 declared column group passes instance.check_symmetry on a generating set
 closes, without an LP, each node whose box is a group image of a box it has
-fully explored. Such a box holds only images of solutions the search has
-already ruled out, so the incumbents, and with them the label, stay those
-of the search without this step; only the node count falls.
+fully explored, that is, a box whose whole subtree has left the depth-first
+stack. Such a box holds only images of solutions the search has already
+ruled out, so the incumbents, and with them the label, stay those of the
+search without this step; only the node count falls.
 """
 
 from __future__ import annotations
@@ -397,16 +398,15 @@ def _generators(kind: str, q: int) -> tuple[pm.Permutation, ...]:
 
 
 class _Twins:
-    """The boxes a solve has fully explored, each kept as its key, and the
-    node tree that tells when a box is fully explored.
+    """Twin pruning's key of a box, the same for all of its group images.
 
     A key is the box with its integral bounds propagated through the rows,
     made canonical under the instance's column group. Two boxes with one key
     are group images of each other up to bounds that no feasible integral
     point reaches, so they hold the images of the same solutions, with the
-    same objectives. A closed box holds no solution below the incumbent it
-    was explored against, hence neither does a twin of it: skipping the twin
-    leaves every incumbent, and so the label, as it was.
+    same objectives. A fully explored box holds no solution below the
+    incumbent it was explored against, hence neither does a twin of it:
+    skipping the twin leaves every incumbent, and so the label, as it was.
     """
 
     def __init__(self, sys_: _System, desc: SymmetryDescriptor):
@@ -428,57 +428,25 @@ class _Twins:
         per_col = np.bincount(self.cols[ent], minlength=a.shape[1])
         self.int_cols = np.flatnonzero(per_col)
         self.int_starts = np.cumsum(per_col[self.int_cols]) - per_col[self.int_cols]
-        self.closed: set[bytes] = set()
-        # Node 0 is the root; every node records its parent, its number of
-        # open children and its key.
-        self.parent, self.open, self.keys = [-1], [0], [None]
 
     @classmethod
     def certify(cls, instance: IlpInstance, sys_: _System) -> "_Twins | None":
-        """Twin pruning for the instance, or None when a generator of its
-        declared group fails instance.check_symmetry."""
+        """Twin pruning for the instance, or None when its declared group
+        fails instance.check_symmetry on a generating set."""
         desc = instance.symmetry
-        if all(check_symmetry(instance, g) for g in _generators(desc.kind, desc.q)):
+        if check_symmetry(instance, *_generators(desc.kind, desc.q)):
             return cls(sys_, desc)
         return None
-
-    def branch(self, node: int) -> tuple[int, int]:
-        """Ids of the node's two new children."""
-        first = len(self.parent)
-        self.open[node] = 2
-        self.parent += [node, node]
-        self.open += [0, 0]
-        self.keys += [None, None]
-        return first, first + 1
-
-    def is_twin(self, node: int, lb: np.ndarray, ub: np.ndarray) -> bool:
-        """Record the node's key; True when a closed box has the same key.
-
-        A box that propagation proves to hold no integral point has no key
-        and still gets its LP, as without this step: closing it early would
-        move a node-limited search onto other nodes."""
-        key = self.canonical_key(lb, ub)
-        self.keys[node] = key
-        return key is not None and key in self.closed
-
-    def close(self, node: int) -> None:
-        """Close the node, and each ancestor whose last open child it was."""
-        while True:
-            if self.keys[node] is not None:
-                self.closed.add(self.keys[node])
-            node = self.parent[node]
-            if node < 0:
-                return
-            self.open[node] -= 1
-            if self.open[node]:
-                return
 
     def canonical_key(self, lb: np.ndarray, ub: np.ndarray) -> bytes | None:
         """One key for the box and all its group images, or None when
         propagation proves that the box holds no integral point. The grid's
         (lb, ub) columns are sorted for a symmetric group and taken at the
         lexicographically least element of a cyclic or dihedral one; the
-        bounds outside the grid follow as they are."""
+        bounds outside the grid follow as they are.
+
+        A box without a key still gets its LP, as without twin pruning:
+        closing it early would move a node-limited search onto other nodes."""
         box = self.propagate(lb, ub)
         if box is None:
             return None
@@ -553,9 +521,11 @@ def solve_bb(
     descriptor's group (q >= 2) passes instance.check_symmetry on a
     generating set, checked once at the first branching, a node whose box
     is a group image of a fully explored one is closed without an LP, and
-    counts as one node (see _Twins). Such a box holds no solution below the
-    incumbent, so the incumbents, the label and the LP of every node solved
-    are those of the search without this step.
+    counts as one node (see _Twins). A box is fully explored once the stack
+    is back at the height it had right after the box was popped, since all
+    that was pushed above it was its subtree. Such a box holds no solution
+    below the incumbent, so the incumbents, the label and the LP of every
+    node solved are those of the search without this step.
     """
     sys_ = _System.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -570,6 +540,10 @@ def solve_bb(
     desc = instance.symmetry
     as_posed = desc is not None and desc.q >= 2 and not fixed and not extra_constraints
     twins: _Twins | None = None
+    # Keys of the fully explored boxes, and (stack height after the pop,
+    # key) of each keyed box whose subtree is still on the stack.
+    closed: set[bytes] = set()
+    explored: list[tuple[int, bytes]] = []
 
     t0 = time.perf_counter()
     deadline = t0 + limits.time_limit_ms / 1e3
@@ -577,23 +551,25 @@ def solve_bb(
     incumbent_obj = np.inf
     incumbent: np.ndarray | None = None
     tie_pool: list[np.ndarray] = []
-    # Stack entries: (lb, ub, inherited parent bound, node id in twins).
-    stack: list[tuple[np.ndarray, np.ndarray, float, int]] = [(lb0, ub0, -np.inf, 0)]
+    # Stack entries: (lb, ub, inherited parent bound).
+    stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, -np.inf)]
     limit_hit = unbounded = False
 
     while stack:
+        while explored and explored[-1][0] >= len(stack):
+            closed.add(explored.pop()[1])
         if nodes >= limits.node_limit or time.perf_counter() > deadline:
             limit_hit = True
             break
-        lb, ub, parent_bound, node = stack.pop()
+        lb, ub, parent_bound = stack.pop()
         if incumbent is not None and parent_bound >= incumbent_obj - ABS_GAP:
-            if twins:
-                twins.close(node)
             continue
         nodes += 1
-        if twins and twins.is_twin(node, lb, ub):
-            twins.close(node)
-            continue
+        key = twins.canonical_key(lb, ub) if twins else None
+        if key is not None:
+            if key in closed:
+                continue
+            explored.append((len(stack), key))
         children = ()
         res = _solve_lp(sys_, lb, ub)
         if res.status in (UNBOUNDED, "error"):
@@ -637,13 +613,10 @@ def solve_bb(
                 # Dive toward the nearer integer first; finds incumbents earlier.
                 children = (down, up) if f - np.floor(f) >= 0.5 else (up, down)
         if not children:
-            if twins:
-                twins.close(node)
             continue
         if as_posed:
             twins, as_posed = _Twins.certify(instance, sys_), False
-        ids = twins.branch(node) if twins else (0, 0)
-        stack.extend((c_lb, c_ub, bound, i) for (c_lb, c_ub), i in zip(children, ids))
+        stack.extend((c_lb, c_ub, bound) for c_lb, c_ub in children)
 
     wall = (time.perf_counter() - t0) * 1e3
     if incumbent is not None and tie_pool:

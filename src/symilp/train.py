@@ -81,6 +81,7 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (0 < self.lr < np.inf):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        net.GnnConfig(self.hidden, self.layers)  # refuses a width or depth below 1
 
 
 @dataclass

@@ -99,7 +99,7 @@ def test_eval_writes_metrics(pipeline_dir):
     with open(os.path.join(out, "metrics.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2  # test split
-    assert set(rows[0].keys()) == {"instance", "top10", "top50", "top90", "gap", "wall_ms"}
+    assert set(rows[0].keys()) == {"instance", "top10", "top50", "top90"}
     summary = json.loads(Path(out, "summary.json").read_text())
     assert "top50_mean" in summary
 
@@ -154,6 +154,43 @@ def test_downstream_and_report(pipeline_dir):
     )
     report = json.loads(Path(report_out, "report.json").read_text())
     assert {"task", "gap_classic", "gap_symaware", "gain"} <= set(report)
+
+
+def write_downstream(path, rows):
+    """A downstream CSV with one row per (instance, task, param, gap)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["instance", "task", "param", "objective", "best_known", "gap", "status", "wall_ms"])
+        for name, task, param, gap in rows:
+            writer.writerow([name, task, param, "1.0", "1.0", gap, "optimal", "0.1"])
+
+
+@pytest.mark.parametrize(
+    "symaware",
+    [
+        [("c", "local_branch", 0.3, "0.25"), ("d", "local_branch", 0.3, "0.25")],  # nothing matches
+        [("a", "local_branch", 0.5, "0.25"), ("b", "local_branch", 0.5, "0.25")],  # task
+        [("a", "fix_opt", 0.3, "0.25"), ("b", "fix_opt", 0.3, "0.25")],  # param
+        [("a", "fix_opt", 0.5, "0.25"), ("c", "fix_opt", 0.5, "0.25")],  # instances
+        [("b", "fix_opt", 0.5, "0.25"), ("a", "fix_opt", 0.5, "0.25")],  # instance order
+        [("a", "fix_opt", 0.5, "0.25"), ("b", "fix_opt", 0.7, "0.25")],  # two params in one file
+        [("a", "fix_opt", 0.5, "0.25"), ("b", "local_branch", 0.5, "0.25")],  # two tasks in one file
+    ],
+)
+def test_report_refuses_downstream_csvs_that_do_not_match(tmp_path, capsys, symaware):
+    classic = [("a", "fix_opt", 0.5, "0.5"), ("b", "fix_opt", 0.5, "0.5")]
+    write_downstream(tmp_path / "classic.csv", classic)
+    argv = ["report", "--classic", str(tmp_path / "classic.csv"), "--symaware", str(tmp_path / "symaware.csv")]
+    # The same file on both sides is a valid pair.
+    write_downstream(tmp_path / "symaware.csv", classic)
+    assert run([*argv, "--out", str(tmp_path / "same")]) == cli.EXIT_OK
+    assert Path(tmp_path, "same", "report.json").exists()
+    capsys.readouterr()
+    write_downstream(tmp_path / "symaware.csv", symaware)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_pipeline_determinism(tmp_path):
@@ -248,6 +285,8 @@ def test_bad_settings_exit_2_before_any_output(pipeline_dir, tmp_path, capsys):
         (["downstream", "{data}", "--task", "local_branch", "--time-limit-ms", "nan"], "error: limits must be positive"),
         (["downstream", "{missing}", "--task", "fix_opt", "--node-limit", "0"], "error: limits must be positive"),
         (["eval", "{data}", "--m-list", "10,0"], "error: m must be in (0, 100]"),
+        (["train", "{missing}", "--hidden", "0"], "error: hidden width and layer count must be >= 1"),
+        (["train", "{data}", "--layers", "0"], "error: hidden width and layer count must be >= 1"),
     ],
 )
 def test_settings_are_checked_before_any_read_or_write(pipeline_dir, tmp_path, monkeypatch, capsys, argv, message):

@@ -257,7 +257,7 @@ def test_metrics_csv_and_summary(tmp_path, labeled_ex1):
     summary = evalx.write_summary_json(str(tmp_path / "summary.json"), records, m_list=(50, 100))
     assert summary["top50_mean"] == 0.0
     header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
-    assert header == "instance,top50,top100,gap,wall_ms"
+    assert header == "instance,top50,top100"
 
 
 def test_evaluate_predictions_aligns_once_and_matches_top_m_error(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from symilp import perm as pm
-from symilp.bench import binpack_instance
+from symilp.bench import binpack_instance, gen_binpack
 from symilp.instance import (
     EQ,
     LE,
@@ -217,6 +218,25 @@ def test_check_symmetry_true_for_all_bin_swaps(ex1):
             moved = permute_values(ex1.symmetry, p, vals)
             assert _feasible(ex1, moved)
             assert float(obj @ moved) == float(obj @ vals)
+
+
+def test_check_symmetry_of_several_elements_is_the_and_of_single_calls(ex1):
+    # With bin costs (1, 1, 2) the transposition of bins 0 and 1 passes and
+    # the 3-cycle fails, so every call that lists the 3-cycle fails.
+    uneven = gen_binpack(5, 3, 6, (1, 3), 0)
+    uneven = dataclasses.replace(uneven, objective=(1.0, 1.0, 2.0) + uneven.objective[3:])
+    swap, cycle = pm.Permutation((1, 0, 2)), pm.rotation(3)
+    assert check_symmetry(uneven, swap) and not check_symmetry(uneven, cycle)
+    elements = (swap, cycle, pm.reflection(3), pm.identity(3))
+    for inst in (ex1, uneven):
+        for k in (1, 2, 3):
+            for perms in itertools.product(elements, repeat=k):
+                assert check_symmetry(inst, *perms) == all(check_symmetry(inst, p) for p in perms)
+    with pytest.raises(ValueError, match="no group element"):
+        check_symmetry(ex1)
+    # A wrong degree raises even after an element that fails.
+    with pytest.raises(ValueError, match="degree"):
+        check_symmetry(uneven, cycle, pm.identity(2))
 
 
 def test_check_symmetry_false_on_wrong_axis(ex1):

@@ -525,6 +525,11 @@ def symmetric_instances():
     ]
 
 
+# The node count of each of symmetric_instances' solves. A box closed
+# before its subtree ends, or never, changes them.
+TWIN_NODES = (9, 39, 15, 17, 55, 9, 9, 53, 39, 17, 15, 21, 19, 29, 33, 11, 17, 11, 2, 2, 5, 3)
+
+
 def same_result(a, b, nodes=True):
     assert (a.status, a.solution, a.bound) == (b.status, b.solution, b.bound)
     if nodes:
@@ -533,15 +538,43 @@ def same_result(a, b, nodes=True):
 
 def test_twin_pruning_keeps_every_result_with_no_more_nodes():
     pruned = set()
-    for inst in symmetric_instances():
+    for inst, nodes in zip(symmetric_instances(), TWIN_NODES, strict=True):
         got = oracle.solve_bb(inst)
         plain = oracle.solve_bb(dataclasses.replace(inst, symmetry=None))
         same_result(got, plain, nodes=False)
-        assert got.nodes <= plain.nodes, inst.name
+        assert got.nodes == nodes <= plain.nodes, inst.name
         assert got.solution.objective == pytest.approx(oracle.brute_force(inst).solution.objective, abs=1e-9)
         if got.nodes < plain.nodes:
             pruned.add(inst.symmetry.kind)
     assert pruned == set(pm.GROUP_KINDS)
+
+
+# The incumbent of every node-limited solve below: item_placement's
+# nonzero values, then those of the two binpack instances.
+PLACEMENT_2 = {4: 1.0, 5: 1.0, 13: 1.0, 17: 1.0, 20: 0.904762, 21: 0.8125, 22: 1.0, 23: 1.0, 24: 0.761905,
+               25: 0.9375, 26: 0.761905, 27: 0.4375, 28: 0.571429, 29: 0.8125, 30: 1.0, 31: 1.0}
+BINPACK_1 = {0: 1.0, 2: 1.0, 5: 1.0, 8: 1.0, 9: 1.0, 12: 1.0, 17: 1.0}
+BINPACK_2 = {1: 1.0, 3: 1.0, 5: 1.0, 11: 1.0, 15: 1.0, 19: 1.0}
+
+
+def test_node_limited_twin_pruning_keeps_its_results():
+    # Each instance prunes its first twin at its 9th to 14th node, so a box
+    # that closes early, late or never moves these cut-short searches.
+    LIMIT = oracle.LIMIT_REACHED
+    cases = [
+        (gen_item_placement(4, 5, 2, 2), 13.3370014, PLACEMENT_2,
+         [(10, LIMIT, 10, 13.064001556399997), (20, LIMIT, 20, 13.064001556399997), (30, LIMIT, 30, 13.064001556399996)]),
+        (gen_binpack(5, 3, 6, (1, 3), 1), 2.0, BINPACK_1,
+         [(10, LIMIT, 10, 1.8333333333333333), (20, LIMIT, 20, 1.8333333333333333), (30, LIMIT, 30, 1.8333333333333333)]),
+        (as_group(gen_binpack(4, 4, 5, (1, 3), 2), pm.CYCLIC), 2.0, BINPACK_2,
+         [(10, LIMIT, 10, 1.2), (20, LIMIT, 20, 1.2), (30, oracle.OPTIMAL, 21, 2.0)]),
+    ]
+    for inst, objective, nonzero, sweep in cases:
+        for limit, status, nodes, bound in sweep:
+            res = oracle.solve_bb(inst, oracle.SolveLimits(node_limit=limit))
+            assert (res.status, res.nodes, res.bound) == (status, nodes, bound), (inst.name, limit)
+            assert res.solution.objective == objective, (inst.name, limit)
+            assert {i: v for i, v in enumerate(res.solution.values) if v} == nonzero, (inst.name, limit)
 
 
 def random_element(rng, kind, q):
