@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import bench, evalx, net, train
 from .instance import SchemaError
 from .oracle import LIMIT_REACHED, SolveLimits
@@ -168,7 +166,7 @@ def cmd_downstream(args) -> int:
     model = net.load_checkpoint(args.checkpoint)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out, exist_ok=True)
-    rows = []
+    rows, gaps = [], []
     exhausted = False
     for s in test_samples:
         pred = net.forward(model, s.graph)
@@ -180,9 +178,11 @@ def cmd_downstream(args) -> int:
         objective = gap = ""
         if res.solution is None:
             exhausted = exhausted or res.status == LIMIT_REACHED
+            gaps.append(None)
         else:
             objective = repr(res.solution.objective)
-            gap = repr(evalx.primal_gap(res.solution.objective, best_obj))
+            gaps.append(evalx.primal_gap(res.solution.objective, best_obj))
+            gap = repr(gaps[-1])
         rows.append(
             [s.name, args.task, param, objective, repr(best_obj), gap, res.status, f"{res.wall_ms:.1f}"]
         )
@@ -193,38 +193,42 @@ def cmd_downstream(args) -> int:
             ["instance", "task", "param", "objective", "best_known", "gap", "status", "wall_ms"]
         )
         writer.writerows(rows)
-    gaps = [float(r[5]) for r in rows if r[5] != ""]
-    mean_gap = float(np.mean(gaps)) if gaps else float("nan")
-    print(f"{args.task} param={param}: mean gap {mean_gap:.4f} over {len(gaps)} instances -> {path}")
+    print(
+        f"{args.task} param={param}: mean gap {evalx.mean_repair_gap(gaps):.4f} over {len(gaps)} instances "
+        f"({gaps.count(None)} without a solution, scored 1.0) -> {path}"
+    )
     return EXIT_LIMIT if exhausted else EXIT_OK
 
 
 def cmd_report(args) -> int:
     def read(path):
-        """A downstream CSV's (tasks, params, instances), and its gaps."""
+        """A downstream CSV's (tasks, params, instances), and its gaps (None
+        where the repair found no solution)."""
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         tasks, params = {r["task"] for r in rows}, {r["param"] for r in rows}
         if len(tasks) > 1 or len(params) > 1:
             raise ConfigError(f"{path} holds more than one task or parameter")
-        gaps = [float(r["gap"]) for r in rows if r["gap"] != ""]
+        gaps = [None if r["gap"] == "" else float(r["gap"]) for r in rows]
         return (tasks, params, [r["instance"] for r in rows]), gaps
 
     run_c, gaps_c = read(args.classic)
     run_s, gaps_s = read(args.symaware)
     if run_c != run_s:
         raise ConfigError("the downstream CSVs differ in task, parameter or instances")
-    if not gaps_c or not gaps_s:
-        raise ConfigError("downstream CSVs contain no gaps")
-    (task,) = run_c[0]  # read allows at most one, and a gap needs a row
-    gamma_r = float(np.mean(gaps_c))
-    gamma_rs = float(np.mean(gaps_s))
+    if not gaps_c:
+        raise ConfigError("downstream CSVs contain no rows")
+    (task,) = run_c[0]  # read allows at most one, and the files have rows
+    gamma_r = evalx.mean_repair_gap(gaps_c)
+    gamma_rs = evalx.mean_repair_gap(gaps_s)
     g = evalx.gain(gamma_r, gamma_rs)
     summary = {
         "task": task,
         "gap_classic": gamma_r,
         "gap_symaware": gamma_rs,
         "gain": g,
+        "unsolved_classic": gaps_c.count(None),
+        "unsolved_symaware": gaps_s.count(None),
     }
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -234,7 +238,8 @@ def cmd_report(args) -> int:
     gain_txt = "n/a" if g is None else f"{g:.3f}"
     print(
         f"{summary['task']}: classic gap {gamma_r:.4f}, symmetry-aware gap {gamma_rs:.4f}, "
-        f"gain {gain_txt}"
+        f"gain {gain_txt}; without a solution: classic {summary['unsolved_classic']}, "
+        f"symmetry-aware {summary['unsolved_symaware']} of {len(gaps_c)} (each scored 1.0)"
     )
     return EXIT_OK
 

@@ -103,6 +103,12 @@ def primal_gap(obj: float, best_obj: float) -> float:
     return diff / (abs(best_obj) + GAP_EPS)
 
 
+def mean_repair_gap(gaps) -> float:
+    """Mean primal gap over repairs, where a repair that ended without a
+    solution (gap None) scores 1.0, as if it had closed none of the gap."""
+    return float(np.mean([1.0 if g is None else g for g in gaps]))
+
+
 def gain(gamma_r: float, gamma_rs: float) -> float | None:
     """Relative improvement of the symmetry-aware gap; None when undefined."""
     if gamma_r == 0:

@@ -13,11 +13,11 @@ branching) are deterministic, so repeated runs yield identical labels.
 
 Branch and bound on an instance as posed (no pins, no extra rows) whose
 declared column group passes instance.check_symmetry on a generating set
-closes, without an LP, each node whose box is a group image of a box it has
-fully explored, that is, a box whose whole subtree has left the depth-first
-stack. Such a box holds only images of solutions the search has already
-ruled out, so the incumbents, and with them the label, stay those of the
-search without this step; only the node count falls.
+closes, without an LP, each node whose box lies inside a group image of a
+box it has fully explored, that is, a box whose whole subtree has left the
+depth-first stack. Such a box holds only images of solutions the search has
+already ruled out, so the incumbents, and with them the label, stay those
+of the search without this step; only the node count falls.
 """
 
 from __future__ import annotations
@@ -401,12 +401,14 @@ class _Twins:
     """Twin pruning's key of a box, the same for all of its group images.
 
     A key is the box with its integral bounds propagated through the rows,
-    made canonical under the instance's column group. Two boxes with one key
-    are group images of each other up to bounds that no feasible integral
-    point reaches, so they hold the images of the same solutions, with the
-    same objectives. A fully explored box holds no solution below the
-    incumbent it was explored against, hence neither does a twin of it:
-    skipping the twin leaves every incumbent, and so the label, as it was.
+    made canonical under the instance's column group, as one vector of lower
+    bounds and negated upper bounds. When key_C >= key_B elementwise, box C
+    lies inside a group image of box B up to bounds that no feasible
+    integral point reaches, so every solution in C is the image of one in B,
+    with the same objective. A fully explored box holds no solution below
+    the incumbent it was explored against, hence neither does a box inside
+    an image of it: skipping that box leaves every incumbent, and so the
+    label, as it was.
     """
 
     def __init__(self, sys_: _System, desc: SymmetryDescriptor):
@@ -438,26 +440,24 @@ class _Twins:
             return cls(sys_, desc)
         return None
 
-    def canonical_key(self, lb: np.ndarray, ub: np.ndarray) -> bytes | None:
-        """One key for the box and all its group images, or None when
-        propagation proves that the box holds no integral point. The grid's
-        (lb, ub) columns are sorted for a symmetric group and taken at the
-        lexicographically least element of a cyclic or dihedral one; the
-        bounds outside the grid follow as they are.
+    def canonical_key(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """One key for a box that propagate has tightened and all its group
+        images: [canonical grid lb, lb outside the grid, -canonical grid ub,
+        -ub outside]. The grid's (lb, ub) columns are sorted for a symmetric
+        group and taken at the lexicographically least element of a cyclic
+        or dihedral one; the bounds outside the grid follow as they are.
 
-        A box without a key still gets its LP, as without twin pruning:
-        closing it early would move a node-limited search onto other nodes."""
-        box = self.propagate(lb, ub)
-        if box is None:
-            return None
-        lb, ub = box
+        A box that propagate proves empty has no key and still gets its LP,
+        as without twin pruning: closing it early would move a node-limited
+        search onto other nodes."""
         cols = np.concatenate([lb[self.grid], ub[self.grid]])  # one column per grid column
         if self.table is None:
             canon = cols[:, np.lexsort(cols[::-1])]
         else:
-            images = cols.T[self.table].reshape(len(self.table), -1)
-            canon = images[np.lexsort(images.T[::-1])[0]]
-        return canon.tobytes() + lb[self.outside].tobytes() + ub[self.outside].tobytes()
+            images = cols.T[self.table]  # each element's columns, one image per row
+            canon = images[np.lexsort(images.reshape(len(self.table), -1).T[::-1])[0]].T
+        rows = len(self.grid)
+        return np.concatenate([canon[:rows].ravel(), lb[self.outside], -canon[rows:].ravel(), -ub[self.outside]])
 
     def propagate(self, lb: np.ndarray, ub: np.ndarray):
         """The box with its integral bounds tightened by the rows' activity
@@ -520,12 +520,14 @@ def solve_bb(
     When the instance is solved as posed (no pins, no extra rows) and its
     descriptor's group (q >= 2) passes instance.check_symmetry on a
     generating set, checked once at the first branching, a node whose box
-    is a group image of a fully explored one is closed without an LP, and
-    counts as one node (see _Twins). A box is fully explored once the stack
-    is back at the height it had right after the box was popped, since all
-    that was pushed above it was its subtree. Such a box holds no solution
-    below the incumbent, so the incumbents, the label and the LP of every
-    node solved are those of the search without this step.
+    lies inside a group image of a fully explored one is closed without an
+    LP, and counts as one node (see _Twins). A box is fully explored once
+    the stack is back at the height it had right after the box was popped,
+    since all that was pushed above it was its subtree. Such a box holds no
+    solution below the incumbent, so the incumbents, the label and the LP of
+    every node solved are those of the search without this step. A child's
+    bound propagation starts from its parent's propagated box within the
+    child's bounds; its LP runs on the child's own bounds.
     """
     sys_ = _System.build(instance, extra_constraints)
     lb0, ub0 = sys_.lb.copy(), sys_.ub.copy()
@@ -540,10 +542,10 @@ def solve_bb(
     desc = instance.symmetry
     as_posed = desc is not None and desc.q >= 2 and not fixed and not extra_constraints
     twins: _Twins | None = None
-    # Keys of the fully explored boxes, and (stack height after the pop,
-    # key) of each keyed box whose subtree is still on the stack.
-    closed: set[bytes] = set()
-    explored: list[tuple[int, bytes]] = []
+    # The keys of the fully explored boxes, one per row, and (stack height
+    # after the pop, key) of each keyed box whose subtree is still on the stack.
+    closed = np.empty((0, 2 * sys_.c.size))
+    explored: list[tuple[int, np.ndarray]] = []
 
     t0 = time.perf_counter()
     deadline = t0 + limits.time_limit_ms / 1e3
@@ -551,23 +553,26 @@ def solve_bb(
     incumbent_obj = np.inf
     incumbent: np.ndarray | None = None
     tie_pool: list[np.ndarray] = []
-    # Stack entries: (lb, ub, inherited parent bound).
-    stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, -np.inf)]
+    # Stack entries: (lb, ub, inherited parent bound, the box propagation
+    # starts from: the parent's propagated box within (lb, ub), or None for
+    # (lb, ub) itself).
+    stack: list[tuple[np.ndarray, np.ndarray, float, tuple | None]] = [(lb0, ub0, -np.inf, None)]
     limit_hit = unbounded = False
 
     while stack:
         while explored and explored[-1][0] >= len(stack):
-            closed.add(explored.pop()[1])
+            closed = np.vstack([closed, explored.pop()[1]])
         if nodes >= limits.node_limit or time.perf_counter() > deadline:
             limit_hit = True
             break
-        lb, ub, parent_bound = stack.pop()
+        lb, ub, parent_bound, start = stack.pop()
         if incumbent is not None and parent_bound >= incumbent_obj - ABS_GAP:
             continue
         nodes += 1
-        key = twins.canonical_key(lb, ub) if twins else None
-        if key is not None:
-            if key in closed:
+        box = twins.propagate(*(start or (lb, ub))) if twins else None
+        if box is not None:
+            key = twins.canonical_key(*box)
+            if np.any(np.all(closed <= key, axis=1)):
                 continue
             explored.append((len(stack), key))
         children = ()
@@ -616,7 +621,10 @@ def solve_bb(
             continue
         if as_posed:
             twins, as_posed = _Twins.certify(instance, sys_), False
-        stack.extend((c_lb, c_ub, bound) for c_lb, c_ub in children)
+        stack.extend(
+            (c_lb, c_ub, bound, None if box is None else (np.maximum(box[0], c_lb), np.minimum(box[1], c_ub)))
+            for c_lb, c_ub in children
+        )
 
     wall = (time.perf_counter() - t0) * 1e3
     if incumbent is not None and tie_pool:

@@ -157,12 +157,28 @@ def test_downstream_and_report(pipeline_dir):
 
 
 def write_downstream(path, rows):
-    """A downstream CSV with one row per (instance, task, param, gap)."""
+    """A downstream CSV with one row per (instance, task, param, gap); an
+    empty gap is a repair that found no solution."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance", "task", "param", "objective", "best_known", "gap", "status", "wall_ms"])
         for name, task, param, gap in rows:
-            writer.writerow([name, task, param, "1.0", "1.0", gap, "optimal", "0.1"])
+            solved = gap != ""
+            writer.writerow([name, task, param, "1.0" if solved else "", "1.0", gap,
+                             "optimal" if solved else "limit_reached", "0.1"])
+
+
+def test_report_scores_a_repair_without_a_solution_as_gap_one(tmp_path, capsys):
+    write_downstream(tmp_path / "classic.csv", [("a", "fix_opt", 0.5, "0.5"), ("b", "fix_opt", 0.5, "0.5")])
+    write_downstream(tmp_path / "symaware.csv", [("a", "fix_opt", 0.5, ""), ("b", "fix_opt", 0.5, "0.1")])
+    argv = ["report", "--classic", str(tmp_path / "classic.csv"), "--symaware", str(tmp_path / "symaware.csv")]
+    assert run([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    report = json.loads(Path(tmp_path, "report.json").read_text())
+    assert report["gap_classic"] == 0.5
+    assert report["gap_symaware"] == pytest.approx(0.55)
+    assert report["gain"] == pytest.approx(-0.1)
+    assert (report["unsolved_classic"], report["unsolved_symaware"]) == (0, 1)
+    assert "without a solution: classic 0, symmetry-aware 1 of 2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,14 @@ def test_primal_gap_zero_within_solver_tolerance():
     assert evalx.primal_gap(1.0 + 2 * tol, 1.0) > 0.0
 
 
+def test_mean_repair_gap_scores_a_missing_solution_as_one():
+    # The pair of the report test: dropping the unsolved instance would give 0.1.
+    assert evalx.mean_repair_gap([0.5, 0.5]) == 0.5
+    assert evalx.mean_repair_gap([None, 0.1]) == pytest.approx(0.55)
+    assert evalx.gain(0.5, evalx.mean_repair_gap([None, 0.1])) == pytest.approx(-0.1)
+    assert evalx.mean_repair_gap([None, None]) == 1.0
+
+
 def test_gain_undefined_for_round_off_gaps():
     gap_r = evalx.primal_gap(0.1 + 0.2, 0.3)
     gap_rs = evalx.primal_gap(5.0 - 4e-16, 5.0)

@@ -527,7 +527,10 @@ def symmetric_instances():
 
 # The node count of each of symmetric_instances' solves. A box closed
 # before its subtree ends, or never, changes them.
-TWIN_NODES = (9, 39, 15, 17, 55, 9, 9, 53, 39, 17, 15, 21, 19, 29, 33, 11, 17, 11, 2, 2, 5, 3)
+TWIN_NODES = (9, 27, 13, 15, 31, 9, 9, 35, 27, 13, 13, 21, 19, 29, 31, 11, 17, 11, 2, 2, 5, 3)
+# The same solves when a box closed only on a key equal to that of a fully
+# explored box, and each box was propagated from its own bounds.
+EQUAL_KEY_NODES = (9, 39, 15, 17, 55, 9, 9, 53, 39, 17, 15, 21, 19, 29, 33, 11, 17, 11, 2, 2, 5, 3)
 
 
 def same_result(a, b, nodes=True):
@@ -538,11 +541,11 @@ def same_result(a, b, nodes=True):
 
 def test_twin_pruning_keeps_every_result_with_no_more_nodes():
     pruned = set()
-    for inst, nodes in zip(symmetric_instances(), TWIN_NODES, strict=True):
+    for inst, nodes, equal_key in zip(symmetric_instances(), TWIN_NODES, EQUAL_KEY_NODES, strict=True):
         got = oracle.solve_bb(inst)
         plain = oracle.solve_bb(dataclasses.replace(inst, symmetry=None))
         same_result(got, plain, nodes=False)
-        assert got.nodes == nodes <= plain.nodes, inst.name
+        assert got.nodes == nodes <= equal_key <= plain.nodes, inst.name
         assert got.solution.objective == pytest.approx(oracle.brute_force(inst).solution.objective, abs=1e-9)
         if got.nodes < plain.nodes:
             pruned.add(inst.symmetry.kind)
@@ -558,14 +561,14 @@ BINPACK_2 = {1: 1.0, 3: 1.0, 5: 1.0, 11: 1.0, 15: 1.0, 19: 1.0}
 
 
 def test_node_limited_twin_pruning_keeps_its_results():
-    # Each instance prunes its first twin at its 9th to 14th node, so a box
+    # Each instance closes its first box at its 8th to 11th node, so a box
     # that closes early, late or never moves these cut-short searches.
     LIMIT = oracle.LIMIT_REACHED
     cases = [
         (gen_item_placement(4, 5, 2, 2), 13.3370014, PLACEMENT_2,
          [(10, LIMIT, 10, 13.064001556399997), (20, LIMIT, 20, 13.064001556399997), (30, LIMIT, 30, 13.064001556399996)]),
         (gen_binpack(5, 3, 6, (1, 3), 1), 2.0, BINPACK_1,
-         [(10, LIMIT, 10, 1.8333333333333333), (20, LIMIT, 20, 1.8333333333333333), (30, LIMIT, 30, 1.8333333333333333)]),
+         [(10, LIMIT, 10, 1.8333333333333333), (20, LIMIT, 20, 1.8333333333333333), (30, oracle.OPTIMAL, 27, 2.0)]),
         (as_group(gen_binpack(4, 4, 5, (1, 3), 2), pm.CYCLIC), 2.0, BINPACK_2,
          [(10, LIMIT, 10, 1.2), (20, LIMIT, 20, 1.2), (30, oracle.OPTIMAL, 21, 2.0)]),
     ]
@@ -593,6 +596,13 @@ def random_integral_box(rng, sys_, share=0.3):
     return lb, ub
 
 
+def twin_key(twins, lb, ub):
+    """The key solve_bb gives the box (lb, ub) when it propagates the box
+    from its own bounds, or None when propagation proves it empty."""
+    box = twins.propagate(lb, ub)
+    return None if box is None else twins.canonical_key(*box)
+
+
 def test_canonical_key_is_one_per_orbit():
     rng = np.random.default_rng(21)
     for inst in [gen_item_placement(4, 5, 2, 3), gen_smsp(4, 3, 2, 1), gen_pesp(4, 5, 4, 1), gen_golomb(3, 8),
@@ -603,9 +613,9 @@ def test_canonical_key_is_one_per_orbit():
         for _ in range(40):
             lb, ub = random_integral_box(rng, sys_, share=float(rng.uniform(0.05, 0.4)))
             p = random_element(rng, inst.symmetry.kind, inst.symmetry.q)
-            key = twins.canonical_key(lb, ub)
+            key = twin_key(twins, lb, ub)
             image = permute_values(inst.symmetry, p, lb), permute_values(inst.symmetry, p, ub)
-            assert twins.canonical_key(*image) == key, inst.name
+            assert np.array_equal(twin_key(twins, *image), key), inst.name
             keyed += key is not None
         assert keyed >= 10, inst.name
     # Item 0 in bin 0, against item 0 in bin 0 and item 1 in bin 1: no
@@ -617,8 +627,47 @@ def test_canonical_key_is_one_per_orbit():
     lb[0] = 1.0
     other = lb.copy()
     other[6] = 1.0
-    keys = twins.canonical_key(lb, sys_.ub), twins.canonical_key(other, sys_.ub)
-    assert None not in keys and keys[0] != keys[1]
+    keys = twin_key(twins, lb, sys_.ub), twin_key(twins, other, sys_.ub)
+    assert all(key is not None for key in keys) and not np.array_equal(*keys)
+
+
+def test_a_box_whose_key_dominates_lies_inside_an_image():
+    # key_C >= key_B must mean that every feasible integral point of C has
+    # a group image in B. C is drawn inside a random image of B, with more
+    # variables fixed, or at random; only pairs whose keys compare count.
+    rng = np.random.default_rng(24)
+    bins3, bins4 = gen_binpack(3, 3, 4, (1, 3), 0), gen_binpack(3, 4, 4, (1, 3), 1)
+    instances = [bins3, as_group(bins3, pm.CYCLIC), as_group(bins4, pm.CYCLIC), as_group(bins4, pm.DIHEDRAL),
+                 gen_golomb(3, 5), gen_smsp(2, 2, 2, 0)]
+    pairs = strict = 0
+    for inst in instances:
+        desc = inst.symmetry
+        sys_ = oracle._System.build(inst)
+        twins = oracle._Twins(sys_, desc)
+        enumerate_group = {pm.SYMMETRIC: pm.enumerate_symmetric, pm.CYCLIC: pm.enumerate_cyclic,
+                           pm.DIHEDRAL: pm.enumerate_dihedral}[desc.kind]
+        elements = enumerate_group(desc.q).elements
+        for _ in range(60):
+            lb_b, ub_b = random_integral_box(rng, sys_, share=float(rng.uniform(0.0, 0.3)))
+            if rng.random() < 0.8:
+                p = elements[rng.integers(len(elements))]
+                image = permute_values(desc, p, lb_b), permute_values(desc, p, ub_b)
+                lb_c, ub_c = random_integral_box(rng, sys_, share=0.15)
+                lb_c, ub_c = np.maximum(lb_c, image[0]), np.minimum(ub_c, image[1])
+            else:
+                lb_c, ub_c = random_integral_box(rng, sys_, share=0.5)
+            key_b, key_c = twin_key(twins, lb_b, ub_b), twin_key(twins, lb_c, ub_c)
+            if key_b is None or key_c is None or not np.all(key_c >= key_b):
+                continue
+            pairs += 1
+            strict += not np.array_equal(key_c, key_b)
+            points = integral_points(lb_c, ub_c)
+            act = (sys_.a @ points.T).T
+            feasible = points[~((act > sys_.row_upper + FEAS_TOL) | (act < sys_.row_lower - FEAS_TOL)).any(axis=1)]
+            for x in feasible:
+                images = np.array([permute_values(desc, g, x) for g in elements])
+                assert np.any(np.all((images >= lb_b) & (images <= ub_b), axis=1)), inst.name
+    assert strict >= 30 and pairs > strict
 
 
 def integral_points(lb, ub):

@@ -144,7 +144,7 @@ KEPT_UNREFERENCED = {
     "perm.inverse": "acceptance criteria 1-3",
     "perm.enumerate_symmetric": "acceptance criteria 1-3",
     "oracle.brute_force": "acceptance criterion 9",
-    "evalx.top_m_error": "a perfbench span",
+    "evalx.top_m_error": "acceptance criteria 7 and 10",
     "train.risk_classic": "a perfbench span",
     "train.aligned_risk": "a perfbench span",
     "oracle.lp_relax": "the linprog reference for the solver's HiGHS model",

@@ -1,11 +1,13 @@
 import collections
+import dataclasses
+import hashlib
 import itertools
 import os
 
 import numpy as np
 import pytest
 
-from symilp import align, bench, net, oracle, train
+from symilp import align, bench, evalx, net, oracle, train
 from symilp import perm as pm
 from symilp.instance import permute_values
 
@@ -373,3 +375,55 @@ def test_train_config_validation():
     for lr in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             train.TrainConfig(epochs=1, lr=lr)
+
+
+def params_sha256(model):
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(model.params[name]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def orbit_data(tmp_path_factory):
+    """perfbench's train shape (item_placement 4x4x2, 20 instances at seed
+    7), and the same splits with each label replaced by a seeded random
+    group element applied to it."""
+    out = str(tmp_path_factory.mktemp("orbit"))
+    bench.build_dataset(bench.GenSpec("item_placement", 20, 7, {"items": 4, "bins": 4, "resources": 2}), out)
+    splits = train.load_dataset(out)
+    rng = np.random.default_rng(31)
+    moved = []
+    for samples in splits:
+        moved.append([])
+        for s in samples:
+            desc = s.instance.symmetry
+            p = pm.Permutation(tuple(int(i) for i in rng.permutation(desc.q)))
+            moved[-1].append(train.make_sample(s.name, s.instance, permute_values(desc, p, s.label)))
+    return splits, moved
+
+
+@pytest.mark.parametrize("loss", [net.BCE, net.SE])
+def test_symaware_training_ignores_which_orbit_member_is_stored(orbit_data, loss):
+    # SymILO's alignment is an argmin over the whole orbit of each label,
+    # so a symmetry-aware fit sees the same aligned targets whichever
+    # member is stored; a classic fit trains on the stored member.
+    (fit_s, val_s, test_s), (fit_m, val_m, test_m) = orbit_data
+    changed = sum(not np.array_equal(a.label, b.label) for a, b in zip(fit_s + val_s, fit_m + val_m))
+    assert changed >= 14
+    runs = {}
+    for mode in train.MODES:
+        cfg = train.TrainConfig(epochs=15, mode=mode, loss=loss, lr=5e-3, hidden=32, layers=2, seed=3)
+        for which, (fit, val) in (("stored", (fit_s, val_s)), ("moved", (fit_m, val_m))):
+            fresh = [dataclasses.replace(s, pi=None) for s in fit]
+            runs[mode, which] = train.fit(fresh, cfg, [dataclasses.replace(s, pi=None) for s in val])
+    a, b = runs[train.SYMMETRY_AWARE, "stored"], runs[train.SYMMETRY_AWARE, "moved"]
+    assert params_sha256(a.model) == params_sha256(b.model)
+    assert a.best_epoch == b.best_epoch
+    assert [(e.rs_tr, e.rs_val) for e in a.curve] == [(e.rs_tr, e.rs_val) for e in b.curve]
+    preds = [net.forward(a.model, s.graph) for s in test_s]
+    assert [r.top_m for r in evalx.evaluate_predictions(test_s, preds)] == [
+        r.top_m for r in evalx.evaluate_predictions(test_m, preds)
+    ]
+    assert params_sha256(runs[train.CLASSIC, "stored"].model) != params_sha256(runs[train.CLASSIC, "moved"].model)
